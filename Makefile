@@ -15,7 +15,7 @@ OUT ?= BENCH_10.json
 # benchmarking a tree whose HEAD is not the commit under test.
 GIT_SHA ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: check fmt vet lint lint-json build test race race-stress bench bench-smoke daemon
+.PHONY: check fmt vet lint lint-json build test race race-stress fuzz-smoke bench bench-smoke daemon
 
 check: fmt vet lint build test race race-stress
 
@@ -69,6 +69,16 @@ race-stress:
 	$(GO) test -race -run TestParallelExpansionStress -count=2 ./internal/see/
 	$(GO) test -race -run TestStoreCrashRecovery -count=2 ./internal/store/
 	$(GO) test -race -run TestPortfolioStress -count=2 ./internal/core/
+
+# Each native fuzz target for 10 s: the recurrence bound against its
+# whole-graph reference search, the SCC partition, and DDG build and
+# interpretation. `go test -fuzz` takes one target per run. A failing
+# input is written under the package's testdata/fuzz/ and replays in
+# every later `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxCycleRatio$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzSCCPartition$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildAndInterpret$$' -fuzztime 10s ./internal/ddg/
 
 # Regenerate the performance scorecard (delta SEE vs clone baseline,
 # journal microcosts, end-to-end Table-1 and feedback wall time with the

@@ -8,7 +8,8 @@
 //
 //   - MIIRec, the recurrence-constrained minimum initiation interval
 //     (maximum over dependence cycles of ceil(latency/distance), Rau '94),
-//     computed by binary search with a Bellman-Ford positive-cycle oracle;
+//     computed per strongly connected component by binary search with a
+//     Bellman-Ford positive-cycle oracle;
 //   - MIIRes, the resource-constrained minimum initiation interval; on the
 //     64-CN DSPFabric the binding class is the 8-port DMA shared by all
 //     memory operations.

@@ -13,7 +13,10 @@ type Resources struct {
 
 // MIIRec returns the recurrence-constrained minimum initiation interval:
 // the maximum over all dependence cycles of ceil(latency/distance), and at
-// least 1. A DDG with no loop-carried cycle has MIIRec 1.
+// least 1. A DDG with no loop-carried cycle has MIIRec 1. Every cycle lies
+// in one strongly connected component, so graph.MaxCycleRatio searches
+// each cyclic component over its own edges; the acyclic bulk of a DDG
+// costs one linear pass.
 func (d *DDG) MIIRec() int {
 	mii, ok := d.G.MaxCycleRatio()
 	if !ok || mii < 1 {

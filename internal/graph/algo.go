@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -115,123 +114,198 @@ func (g *Directed) CriticalPathLength() (int, error) {
 }
 
 // SCCs returns the strongly connected components of g (all edges, including
-// loop-carried ones) using Tarjan's algorithm, implemented iteratively so
-// that very deep graphs cannot overflow the goroutine stack. Components are
-// returned in reverse topological order (Tarjan's natural output order);
-// each component's node list is sorted ascending.
+// loop-carried ones) in reverse topological order (Tarjan's natural output
+// order); each component's node list is sorted ascending.
 func (g *Directed) SCCs() [][]NodeID {
-	n := g.NumNodes()
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack   []NodeID
-		sccs    [][]NodeID
-		counter int
-	)
-
-	type frame struct {
-		v    NodeID
-		eidx int // next outgoing edge index to examine
-	}
-
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		frames := []frame{{v: NodeID(root)}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, NodeID(root))
-		onStack[root] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			advanced := false
-			for f.eidx < len(g.out[f.v]) {
-				eid := g.out[f.v][f.eidx]
-				f.eidx++
-				e := g.edges[eid]
-				if e.removed {
-					continue
-				}
-				w := e.To
-				if index[w] == unvisited {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-					advanced = true
-					break
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
-				}
-			}
-			if advanced {
-				continue
-			}
-			// f.v is finished.
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []NodeID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-				sccs = append(sccs, comp)
-			}
-		}
+	comp, ncomp := g.sccLabels()
+	sccs := make([][]NodeID, ncomp)
+	for v, c := range comp {
+		sccs[c] = append(sccs[c], NodeID(v))
 	}
 	return sccs
 }
 
-// HasPositiveCycle reports whether g contains a cycle whose total
-// cost is strictly positive, where the cost of edge e is
-// e.Weight - ii*e.Distance. This is the oracle used by the MIIRec binary
-// search: II is feasible iff no such positive cycle exists (Rau '94).
-//
-// The check runs a Bellman-Ford longest-path relaxation from a virtual
-// super-source; if any node can still be relaxed after NumNodes rounds, a
-// positive cycle is reachable.
-func (g *Directed) HasPositiveCycle(ii int) bool {
-	n := g.NumNodes()
-	if n == 0 {
-		return false
+// sccLabels labels every node with the id of its strongly connected
+// component over all live edges and returns the labels and the number of
+// components. Ids follow Tarjan's completion order, so they run in reverse
+// topological order of the condensation. The walk is iterative so that very
+// deep graphs cannot overflow the goroutine stack.
+func (g *Directed) sccLabels() (comp []int32, ncomp int) {
+	n := len(g.out)
+	comp = make([]int32, n)
+	// index is a node's 1-based DFS preorder number (0: not yet visited) and
+	// low its low-link. stack holds the visited nodes that have no component
+	// yet, so a visited node is on it exactly while its label is still -1.
+	buf := make([]int32, 3*n)
+	index, low, stack := buf[:n], buf[n:2*n], buf[2*n:2*n]
+	for i := range comp {
+		comp[i] = -1
 	}
-	// dist starts at 0 everywhere == virtual source connected to all nodes.
-	dist := make([]int64, n)
-	for round := 0; round < n; round++ {
-		changed := false
-		for i := range g.edges {
-			e := g.edges[i]
-			if e.removed {
-				continue
+	type frame struct{ v, next int32 } // next: index into g.out[v]
+	var frames []frame
+	counter := int32(0)
+	visit := func(v int32) {
+		counter++
+		index[v], low[v] = counter, counter
+		stack = append(stack, v)
+		frames = append(frames, frame{v: v})
+	}
+	for root := range comp {
+		if index[root] != 0 {
+			continue
+		}
+		visit(int32(root))
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			v, out := f.v, g.out[f.v]
+			for f.next < int32(len(out)) {
+				e := &g.edges[out[f.next]]
+				f.next++
+				if e.removed {
+					continue
+				}
+				w := int32(e.To)
+				if index[w] == 0 {
+					visit(w) // invalidates f
+					break
+				}
+				if comp[w] < 0 && index[w] < low[v] {
+					low[v] = index[w]
+				}
 			}
-			cost := int64(e.Weight) - int64(ii)*int64(e.Distance)
-			if d := dist[e.From] + cost; d > dist[e.To] {
-				dist[e.To] = d
+			if top := frames[len(frames)-1].v; top != v {
+				continue // descended into a new node
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				if p := frames[len(frames)-1].v; low[v] < low[p] {
+					low[p] = low[v]
+				}
+			}
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					comp[w] = int32(ncomp)
+					if w == v {
+						break
+					}
+				}
+				ncomp++
+			}
+		}
+	}
+	return comp, ncomp
+}
+
+// arc is a live intra-component edge with both ends renumbered densely
+// within its component.
+type arc struct {
+	from, to         int32
+	weight, distance int64
+}
+
+// MaxCycleRatio returns the maximum over all cycles C of
+// ceil(sum Weight(C) / sum Distance(C)), i.e. the recurrence-constrained
+// minimum initiation interval of the graph, and true if at least one cycle
+// with positive total weight exists. Cycles with zero total distance and
+// positive weight are illegal dependence structures and cause a panic (the
+// DDG validator rejects them before this point). Distances are assumed
+// non-negative, as in every dependence graph.
+//
+// Every cycle lies inside one strongly connected component, so the value
+// is the maximum over the cyclic components of each one's own bound. Each
+// is found by binary search over integer II with a Bellman-Ford
+// positive-cycle oracle (Rau '94) run over that component's edges alone:
+// the predicate "no positive cycle at II", with edge cost
+// Weight - II*Distance, is monotone in II. A component's search starts at
+// the largest bound found so far, and a component already feasible there
+// is settled by one probe.
+func (g *Directed) MaxCycleRatio() (int, bool) {
+	comp, ncomp := g.sccLabels()
+	// Dense ids within each component.
+	local := make([]int32, len(comp))
+	size := make([]int32, ncomp)
+	for v, c := range comp {
+		local[v] = size[c]
+		size[c]++
+	}
+	// Counting sort of the live intra-component edges by component: after
+	// the loops, component c's arcs are arcs[start[c]:start[c+1]].
+	start := make([]int32, ncomp+1)
+	for i := range g.edges {
+		if e := &g.edges[i]; !e.removed && comp[e.From] == comp[e.To] {
+			start[comp[e.From]]++
+		}
+	}
+	total := int32(0)
+	for c := range start {
+		total += start[c]
+		start[c] = total
+	}
+	if total == 0 {
+		return 0, false
+	}
+	arcs := make([]arc, total)
+	maxSize := int32(0)
+	for i := len(g.edges) - 1; i >= 0; i-- {
+		e := &g.edges[i]
+		if c := comp[e.From]; !e.removed && c == comp[e.To] {
+			start[c]--
+			arcs[start[c]] = arc{local[e.From], local[e.To], int64(e.Weight), int64(e.Distance)}
+			maxSize = max(maxSize, size[c])
+		}
+	}
+
+	dist := make([]int64, maxSize)
+	best, bound := 0, false
+	for c := 0; c < ncomp; c++ {
+		ca := arcs[start[c]:start[c+1]]
+		if len(ca) == 0 {
+			continue // acyclic singleton
+		}
+		cd := dist[:size[c]]
+		// Any cycle of distance >= 1 has weight at most the component's
+		// positive weight sum, so that II is feasible unless a
+		// zero-distance cycle has positive weight.
+		hi := 0
+		for _, a := range ca {
+			if a.weight > 0 {
+				hi += int(a.weight)
+			}
+		}
+		if positiveCycle(ca, cd, hi) {
+			panic("graph: MaxCycleRatio: positive cycle with zero distance (malformed dependence graph)")
+		}
+		lo := best // infeasible from here on, or this component cannot bind
+		if !positiveCycle(ca, cd, lo) {
+			continue
+		}
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if positiveCycle(ca, cd, mid) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		best, bound = hi, true
+	}
+	return best, bound
+}
+
+// positiveCycle reports whether arcs, over the nodes 0..len(dist)-1,
+// contain a cycle whose total cost Weight - ii*Distance is strictly
+// positive. It runs a Bellman-Ford longest-path relaxation from a virtual
+// source joined to every node (dist starts at 0 everywhere): a node can
+// still be relaxed after len(dist) rounds only through a positive cycle.
+func positiveCycle(arcs []arc, dist []int64, ii int) bool {
+	clear(dist)
+	for range dist {
+		changed := false
+		for _, a := range arcs {
+			if d := dist[a.from] + a.weight - int64(ii)*a.distance; d > dist[a.to] {
+				dist[a.to] = d
 				changed = true
 			}
 		}
@@ -240,52 +314,6 @@ func (g *Directed) HasPositiveCycle(ii int) bool {
 		}
 	}
 	return true
-}
-
-// MaxCycleRatio returns the maximum over all cycles C of
-// ceil(sum Weight(C) / sum Distance(C)), i.e. the recurrence-constrained
-// minimum initiation interval of the graph, and true if at least one cycle
-// with positive total distance exists. Cycles with zero total distance and
-// positive weight are illegal dependence structures and cause a panic (the
-// DDG validator rejects them before this point).
-//
-// The value is found by binary search over integer II with the Bellman-Ford
-// positive-cycle oracle: the predicate "no positive cycle at II" is monotone
-// in II.
-func (g *Directed) MaxCycleRatio() (int, bool) {
-	// Upper bound: sum of all positive weights is always feasible, since
-	// any cycle has distance >= 1 (zero-distance cycles are rejected) and
-	// weight <= total.
-	hi := 0
-	hasEdge := false
-	g.Edges(func(e Edge) {
-		hasEdge = true
-		if e.Weight > 0 {
-			hi += e.Weight
-		}
-	})
-	if !hasEdge {
-		return 0, false
-	}
-	if g.HasPositiveCycle(hi) {
-		panic("graph: MaxCycleRatio: positive cycle with zero distance (malformed dependence graph)")
-	}
-	// If even II=0 admits no positive cycle there is no constraining cycle.
-	if !g.HasPositiveCycle(0) {
-		// There may still be cycles (with non-positive weight); report the
-		// ratio as 0 with ok=false meaning "no binding recurrence".
-		return 0, false
-	}
-	lo := 0 // infeasible
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if g.HasPositiveCycle(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, true
 }
 
 // Reachable returns the set of nodes reachable from src (including src)
@@ -387,63 +415,4 @@ func (g *Directed) Slack() ([]int, error) {
 		slack[i] = cp - depth[i] - height[i]
 	}
 	return slack, nil
-}
-
-// MinCycleMean returns the minimum mean-weight cycle value over live edges
-// (Karp's algorithm), or +Inf if the graph is acyclic. It is exposed for the
-// synthetic workload generator, which uses it to validate the recurrence
-// structure it creates.
-func (g *Directed) MinCycleMean() float64 {
-	n := g.NumNodes()
-	if n == 0 {
-		return math.Inf(1)
-	}
-	const inf = math.MaxInt64 / 4
-	// dp[k][v] = min weight of a k-edge walk from any node to v.
-	prev := make([]int64, n)
-	cur := make([]int64, n)
-	best := make([][]int64, n+1)
-	for i := range prev {
-		prev[i] = 0
-	}
-	best[0] = append([]int64(nil), prev...)
-	for k := 1; k <= n; k++ {
-		for i := range cur {
-			cur[i] = inf
-		}
-		for i := range g.edges {
-			e := g.edges[i]
-			if e.removed {
-				continue
-			}
-			if prev[e.From] >= inf {
-				continue
-			}
-			if w := prev[e.From] + int64(e.Weight); w < cur[e.To] {
-				cur[e.To] = w
-			}
-		}
-		best[k] = append([]int64(nil), cur...)
-		prev, cur = cur, prev
-	}
-	res := math.Inf(1)
-	for v := 0; v < n; v++ {
-		if best[n][v] >= inf {
-			continue
-		}
-		worst := math.Inf(-1)
-		for k := 0; k < n; k++ {
-			if best[k][v] >= inf {
-				continue
-			}
-			m := float64(best[n][v]-best[k][v]) / float64(n-k)
-			if m > worst {
-				worst = m
-			}
-		}
-		if worst < res {
-			res = worst
-		}
-	}
-	return res
 }

@@ -4,35 +4,29 @@ import (
 	"testing"
 )
 
-// FuzzMaxCycleRatio checks the binary-search/oracle self-consistency on
-// arbitrary small graphs decoded from the fuzz input: when a binding
-// recurrence exists, its MII must be the minimal feasible value.
+// FuzzMaxCycleRatio checks MaxCycleRatio against the whole-graph
+// reference search on graphs of up to 32 nodes decoded from the fuzz
+// input: both must give the same answer, or both panic on a positive
+// zero-distance cycle. When a binding recurrence exists, its MII must be
+// the minimal feasible value.
 func FuzzMaxCycleRatio(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 2, 1, 1, 2, 3, 0, 2, 0, 1, 1})
 	f.Add([]byte{2, 0, 1, 5, 0, 1, 0, 0, 1})
 	f.Add([]byte{3, 0, 1, 1, 0, 1, 2, 1, 0, 2, 0, 3, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 {
+		g := decodeFuzzGraph(data)
+		if g == nil {
 			return
 		}
-		n := int(data[0])%8 + 2
-		g := New(n, len(data)/4)
-		g.AddNodes(n)
-		// Decode edges as 4-byte tuples (from, to, weight, distance).
-		// Distance-0 edges only go forward to keep the DAG invariant.
-		for i := 1; i+3 < len(data); i += 4 {
-			u := int(data[i]) % n
-			v := int(data[i+1]) % n
-			w := int(data[i+2]) % 8
-			d := int(data[i+3]) % 3
-			if d == 0 {
-				if u >= v {
-					continue
-				}
-			}
-			g.AddEdge(NodeID(u), NodeID(v), w, d)
+		mii, ok, panicked := catchMaxCycleRatio(g.MaxCycleRatio)
+		refMII, refOK, refPanicked := catchMaxCycleRatio(g.maxCycleRatioReference)
+		if mii != refMII || ok != refOK || panicked != refPanicked {
+			t.Fatalf("MaxCycleRatio = %d,%v (panic %v), reference %d,%v (panic %v)",
+				mii, ok, panicked, refMII, refOK, refPanicked)
 		}
-		mii, ok := g.MaxCycleRatio()
+		if panicked {
+			return
+		}
 		if !ok {
 			if g.HasPositiveCycle(0) {
 				t.Fatal("reported no binding cycle but II=0 has a positive cycle")
@@ -49,6 +43,47 @@ func FuzzMaxCycleRatio(f *testing.F) {
 			t.Fatalf("MII %d is not minimal", mii)
 		}
 	})
+}
+
+// decodeFuzzGraph decodes data[0] as the node count (2 to 32) and every
+// following 4-byte tuple as an edge (from, to, weight, flags). The weight
+// byte is signed and taken mod 8; the distance is the low six bits of
+// flags mod 3. Bit 7 of flags removes the edge again right after adding
+// it. A distance-0 edge that does not go forward is kept only when bit 6
+// is set, so zero-distance cycles occur but do not dominate.
+func decodeFuzzGraph(data []byte) *Directed {
+	if len(data) < 1 {
+		return nil
+	}
+	n := int(data[0])%31 + 2
+	g := New(n, len(data)/4)
+	g.AddNodes(n)
+	for i := 1; i+3 < len(data); i += 4 {
+		u := int(data[i]) % n
+		v := int(data[i+1]) % n
+		w := int(int8(data[i+2])) % 8
+		flags := data[i+3]
+		d := int(flags&0x3f) % 3
+		if d == 0 && u >= v && flags&0x40 == 0 {
+			continue
+		}
+		id := g.AddEdge(NodeID(u), NodeID(v), w, d)
+		if flags&0x80 != 0 {
+			g.RemoveEdge(id)
+		}
+	}
+	return g
+}
+
+// catchMaxCycleRatio calls fn and reports whether it panicked.
+func catchMaxCycleRatio(fn func() (int, bool)) (mii int, ok, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	mii, ok = fn()
+	return mii, ok, false
 }
 
 // FuzzSCCPartition: SCCs always partition the node set.

@@ -5,8 +5,9 @@
 // No canonical graph library exists in the Go standard library, so the
 // package implements from scratch the handful of classic algorithms the
 // paper's compilation flow needs: Tarjan strongly-connected components,
-// topological sorting, longest paths on DAGs, Bellman-Ford positive-cycle
-// detection (the oracle behind the MIIRec binary search) and reachability.
+// topological sorting, longest paths on DAGs, the maximum cycle ratio
+// behind MIIRec (a binary search with a Bellman-Ford positive-cycle oracle,
+// run per strongly connected component) and reachability.
 //
 // Nodes are dense integer IDs handed out by the graph; callers attach their
 // own payloads by indexing parallel slices with the node ID. Edges carry two

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -395,27 +394,50 @@ func TestMaxCycleRatioSelfLoop(t *testing.T) {
 }
 
 func TestMaxCycleRatioMatchesBruteForce(t *testing.T) {
-	// Property: binary-search answer == brute-force over enumerated simple
-	// cycles for tiny random graphs.
+	// Property: the per-component answer == brute force over enumerated
+	// simple cycles == the whole-graph reference search, on tiny random
+	// graphs of one to three node blocks. Loop-carried edges stay inside a
+	// block, so blocks never merge and a graph has up to three cyclic
+	// components; distance-0 edges only go forward. Some edges are removed
+	// again, among them distance-0 back edges whose cycles would otherwise
+	// be malformed.
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(5)
-		g := New(n, 2*n)
+	for trial := 0; trial < 300; trial++ {
+		blocks := 1 + rng.Intn(3)
+		var lo []int // first node of each block, plus the node count
+		n := 0
+		for b := 0; b < blocks; b++ {
+			lo = append(lo, n)
+			n += 1 + rng.Intn(4)
+		}
+		lo = append(lo, n)
+		if n < 2 {
+			continue
+		}
+		g := New(n, 3*n)
 		g.AddNodes(n)
-		for i := 0; i < 2*n; i++ {
-			w := rng.Intn(5)
-			d := rng.Intn(3)
-			if d == 0 && w > 0 {
-				// ensure any distance-0 edges stay acyclic: forward only
+		for i := 0; i < 3*n; i++ {
+			w := rng.Intn(7) - 1
+			if d := rng.Intn(3); d == 0 {
 				u := rng.Intn(n - 1)
 				v := u + 1 + rng.Intn(n-u-1)
 				g.AddEdge(NodeID(u), NodeID(v), w, 0)
-			} else if d > 0 {
-				g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), w, d)
+			} else {
+				b := rng.Intn(blocks)
+				size := lo[b+1] - lo[b]
+				u, v := lo[b]+rng.Intn(size), lo[b]+rng.Intn(size)
+				g.AddEdge(NodeID(u), NodeID(v), w, d)
+			}
+			if rng.Intn(5) == 0 {
+				u := 1 + rng.Intn(n-1)
+				g.RemoveEdge(g.AddEdge(NodeID(u), NodeID(rng.Intn(u)), 1+rng.Intn(5), rng.Intn(2)))
 			}
 		}
 		want := bruteForceMII(g)
 		got, ok := g.MaxCycleRatio()
+		if ref, refOK := g.maxCycleRatioReference(); got != ref || ok != refOK {
+			t.Fatalf("trial %d: MaxCycleRatio=%d,%v, reference %d,%v", trial, got, ok, ref, refOK)
+		}
 		if want == 0 {
 			if ok && got != 0 {
 				t.Fatalf("trial %d: want no binding cycle, got %d", trial, got)
@@ -509,22 +531,6 @@ func TestShortestPathSameNode(t *testing.T) {
 	p := g.ShortestPath(a, a, nil)
 	if len(p) != 1 || p[0] != a {
 		t.Errorf("self path = %v", p)
-	}
-}
-
-func TestMinCycleMean(t *testing.T) {
-	g := New(2, 2)
-	a, b := g.AddNode(), g.AddNode()
-	g.AddEdge(a, b, 2, 0)
-	g.AddEdge(b, a, 4, 0)
-	if m := g.MinCycleMean(); math.Abs(m-3.0) > 1e-9 {
-		t.Errorf("MinCycleMean = %v, want 3", m)
-	}
-	h := New(2, 1)
-	x, y := h.AddNode(), h.AddNode()
-	h.AddEdge(x, y, 1, 0)
-	if m := h.MinCycleMean(); !math.IsInf(m, 1) {
-		t.Errorf("acyclic MinCycleMean = %v, want +Inf", m)
 	}
 }
 

@@ -46,7 +46,8 @@ type Config struct {
 	// BudgetRatio bounds the total placements per attempt at
 	// BudgetRatio*len(ops); default 8.
 	BudgetRatio int
-	// MaxII caps the search; default 4*critical-path length + 16.
+	// MaxII caps the search; default the larger of 4*critical-path
+	// length + 16 and 4*MinII.
 	MaxII int
 }
 
@@ -81,9 +82,10 @@ func MinII(d *ddg.DDG, cn []int, mc *machine.Config) int {
 
 // Run modulo-schedules d (typically an HCA Result's Final DDG) given the
 // per-node CN assignment cn on machine mc. It returns the first legal
-// schedule found, at the smallest II the iterative search reaches. A
-// trace.Recorder installed in ctx gets one span with the II ladder
-// statistics (min II bound, achieved II, tries, stages).
+// schedule found, at the smallest II the iterative search reaches. It
+// checks ctx before each II attempt and returns its error, wrapped, once
+// ctx is done. A trace.Recorder installed in ctx gets one span with the
+// II ladder statistics (min II bound, achieved II, tries, stages).
 func Run(ctx context.Context, d *ddg.DDG, cn []int, mc *machine.Config, cfg Config) (*Schedule, error) {
 	_, sp := trace.Start(ctx, "modsched")
 	defer sp.End()
@@ -101,9 +103,11 @@ func Run(ctx context.Context, d *ddg.DDG, cn []int, mc *machine.Config, cfg Conf
 	if err != nil {
 		return nil, err
 	}
+	minII := MinII(d, cn, mc)
+	sp.SetInt("min_ii", int64(minII))
 	if cfg.MaxII <= 0 {
 		cp, _ := d.G.CriticalPathLength()
-		cfg.MaxII = 4*cp + 16
+		cfg.MaxII = max(4*cp+16, 4*minII)
 	}
 
 	order := make([]graph.NodeID, d.Len())
@@ -119,9 +123,10 @@ func Run(ctx context.Context, d *ddg.DDG, cn []int, mc *machine.Config, cfg Conf
 	})
 
 	tries := 0
-	minII := MinII(d, cn, mc)
-	sp.SetInt("min_ii", int64(minII))
 	for ii := minII; ii <= cfg.MaxII; ii++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("modsched: stopped before II=%d: %w", ii, err)
+		}
 		tries++
 		if s := attempt(d, cn, mc, ii, order, cfg.BudgetRatio*d.Len()); s != nil {
 			s.Tries = tries

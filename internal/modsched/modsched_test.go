@@ -2,6 +2,7 @@ package modsched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -338,6 +339,53 @@ func TestRunMaxIICap(t *testing.T) {
 	cn := []int{0, 0, 0, 0, 0, 0}
 	if _, err := Run(context.Background(), d, cn, mcStd(), Config{MaxII: 2}); err == nil {
 		t.Fatal("expected MaxII failure (issue bound is 6)")
+	}
+}
+
+// TestRunDefaultCapCoversMinII: the default II cap must not fall below
+// MinII. Both compiles have a MinII above 4*critical path + 16 and failed
+// without trying a single II while the cap ignored MinII.
+func TestRunDefaultCapCoversMinII(t *testing.T) {
+	for _, tc := range []struct {
+		ops int
+		mc  *machine.Config
+	}{
+		{400, machine.RCP(8, 2, 2)},
+		{1600, mcStd()},
+	} {
+		d := kernels.Synthetic(kernels.SynthConfig{Ops: tc.ops, Seed: 1, RecLatency: 3})
+		t.Run(d.Name+"@"+tc.mc.Name, func(t *testing.T) {
+			res, err := core.HCA(context.Background(), d, tc.mc, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := res.Final.G.CriticalPathLength()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if minII := MinII(res.Final, res.FinalCN, tc.mc); minII <= 4*cp+16 {
+				t.Fatalf("MinII %d within the critical-path cap %d: the case no longer reaches the MinII cap", minII, 4*cp+16)
+			}
+			s, err := Run(context.Background(), res.Final, res.FinalCN, tc.mc, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(res.Final, s, tc.mc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestRunCancelled(t *testing.T) {
+	d := ddg.New("chain")
+	prev := d.AddConst(1, "c")
+	m := d.AddOp(ddg.OpMov, "m")
+	d.AddDep(prev, m, 0, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, d, []int{0, 1}, mcStd(), Config{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 // range must collapse to exactly one inline fn(0, n) call — no
 // fragmentation, no goroutine.
 func TestChunkedCtxMinChunkLargerThanN(t *testing.T) {
+	checkBudgetReleased(t)
 	restore := ForceWidthForTest(8)
 	defer restore()
 
@@ -32,6 +33,7 @@ func TestChunkedCtxMinChunkLargerThanN(t *testing.T) {
 // TestChunkedCtxZeroItems: n == 0 must make no calls and report only the
 // context's own state.
 func TestChunkedCtxZeroItems(t *testing.T) {
+	checkBudgetReleased(t)
 	calls := 0
 	if err := ForEachChunkedCtx(context.Background(), 0, 4, func(lo, hi int) { calls++ }); err != nil {
 		t.Fatalf("err = %v, want nil", err)
@@ -53,6 +55,7 @@ func TestChunkedCtxZeroItems(t *testing.T) {
 // TestChunkedCtxPreCancelled: a context already done before the call
 // must suppress even the single-chunk inline path.
 func TestChunkedCtxPreCancelled(t *testing.T) {
+	checkBudgetReleased(t)
 	restore := ForceWidthForTest(4)
 	defer restore()
 
@@ -75,6 +78,7 @@ func TestChunkedCtxPreCancelled(t *testing.T) {
 // chunk cancels the context, so the second chunk must be skipped and the
 // error reported.
 func TestChunkedCtxCancelBetweenChunks(t *testing.T) {
+	checkBudgetReleased(t)
 	restore := ForceWidthForTest(2)
 	defer restore()
 
@@ -82,20 +86,30 @@ func TestChunkedCtxCancelBetweenChunks(t *testing.T) {
 	// until the test finishes. One item lands on the helper goroutine
 	// (the slot), one runs inline in this throwaway goroutine; held is
 	// closed once both are running, i.e. the slot is definitely taken.
+	// The holder must have returned, and so released the slot, before
+	// the width is restored: a later test would otherwise find the
+	// budget still taken.
 	hold := make(chan struct{})
 	held := make(chan struct{})
+	holderDone := make(chan struct{})
 	var running sync.WaitGroup
 	running.Add(2)
-	go ForEach(2, func(i int) {
-		running.Done()
-		if i == 1 {
-			running.Wait()
-			close(held)
-		}
-		<-hold
-	})
+	go func() {
+		defer close(holderDone)
+		ForEach(2, func(i int) {
+			running.Done()
+			if i == 1 {
+				running.Wait()
+				close(held)
+			}
+			<-hold
+		})
+	}()
 	<-held
-	defer close(hold)
+	defer func() {
+		close(hold)
+		<-holderDone
+	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -121,6 +135,7 @@ func TestChunkedCtxCancelBetweenChunks(t *testing.T) {
 // cases — an uncancelled run over an awkward n must cover [0, n) exactly
 // once with chunks of at least minChunk items.
 func TestChunkedCtxCompleteRunCoversRange(t *testing.T) {
+	checkBudgetReleased(t)
 	restore := ForceWidthForTest(3)
 	defer restore()
 

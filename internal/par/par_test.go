@@ -6,9 +6,26 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
+// spinLimit bounds every busy-wait on the worker budget, so a budget
+// leaked by an earlier test fails the waiting test instead of hanging it.
+const spinLimit = 10 * time.Second
+
+// checkBudgetReleased fails t if any extra-worker slot is still held when
+// t ends: every fan-out a test starts must have returned by then.
+func checkBudgetReleased(t *testing.T) {
+	t.Helper()
+	t.Cleanup(func() {
+		if n := extra.Load(); n != 0 {
+			t.Errorf("%d extra-worker slots still held at test end", n)
+		}
+	})
+}
+
 func TestForEachRunsAll(t *testing.T) {
+	checkBudgetReleased(t)
 	const n = 1000
 	var hits [n]int32
 	ForEach(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
@@ -20,6 +37,7 @@ func TestForEachRunsAll(t *testing.T) {
 }
 
 func TestForEachSmall(t *testing.T) {
+	checkBudgetReleased(t)
 	ran := false
 	ForEach(1, func(i int) { ran = i == 0 })
 	if !ran {
@@ -29,6 +47,7 @@ func TestForEachSmall(t *testing.T) {
 }
 
 func TestForEachNestedNoDeadlock(t *testing.T) {
+	checkBudgetReleased(t)
 	var total int64
 	ForEach(8, func(i int) {
 		ForEach(8, func(j int) {
@@ -43,6 +62,7 @@ func TestForEachNestedNoDeadlock(t *testing.T) {
 }
 
 func TestForEachCtxRunsAllWhenLive(t *testing.T) {
+	checkBudgetReleased(t)
 	const n = 500
 	var hits [n]int32
 	if err := ForEachCtx(context.Background(), n, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
@@ -56,6 +76,7 @@ func TestForEachCtxRunsAllWhenLive(t *testing.T) {
 }
 
 func TestForEachCtxPreCancelled(t *testing.T) {
+	checkBudgetReleased(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := ForEachCtx(ctx, 8, func(i int) { t.Errorf("item %d ran under cancelled ctx", i) })
@@ -72,6 +93,7 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 // blocks every started item (token goroutines plus the caller's inline
 // slot), so exactly Width() items are in flight when cancel hits.
 func TestForEachCtxCancelMidFanout(t *testing.T) {
+	checkBudgetReleased(t)
 	n := Width() * 4
 	gate := make(chan struct{})
 	var started int32
@@ -85,7 +107,15 @@ func TestForEachCtxCancelMidFanout(t *testing.T) {
 	}()
 	// Wait until the fan-out is saturated: Width()-1 token goroutines
 	// blocked plus the caller blocked inline on item Width()-1.
-	for atomic.LoadInt32(&started) != int32(Width()) {
+	for deadline := time.Now().Add(spinLimit); atomic.LoadInt32(&started) != int32(Width()); {
+		if time.Now().After(deadline) {
+			stuck := atomic.LoadInt32(&started)
+			cancel()
+			close(gate)
+			<-done
+			t.Fatalf("fan-out stuck at %d of Width()=%d items after %v with %d extra workers held",
+				stuck, Width(), spinLimit, extra.Load())
+		}
 		runtime.Gosched()
 	}
 	cancel()
@@ -99,6 +129,7 @@ func TestForEachCtxCancelMidFanout(t *testing.T) {
 }
 
 func TestForEachCtxNestedNoDeadlock(t *testing.T) {
+	checkBudgetReleased(t)
 	ctx := context.Background()
 	var total int64
 	err := ForEachCtx(ctx, 8, func(i int) {
@@ -122,6 +153,7 @@ func TestForEachCtxNestedNoDeadlock(t *testing.T) {
 // guarantee holds: no chunk is smaller than minChunk (so tiny fan-outs
 // never pay a dispatch per item).
 func TestChunkBoundsPartition(t *testing.T) {
+	checkBudgetReleased(t)
 	for n := 0; n <= 97; n++ {
 		for _, minChunk := range []int{0, 1, 2, 3, 7, 16, 100} {
 			chunks := NumChunks(n, minChunk)
@@ -157,6 +189,7 @@ func TestChunkBoundsPartition(t *testing.T) {
 }
 
 func TestForEachChunkedCtxRunsAll(t *testing.T) {
+	checkBudgetReleased(t)
 	for _, n := range []int{1, 2, 7, 63, 64, 1000} {
 		for _, minChunk := range []int{1, 4, 17} {
 			hits := make([]int32, n)
@@ -183,6 +216,7 @@ func TestForEachChunkedCtxRunsAll(t *testing.T) {
 }
 
 func TestForEachChunkedCtxPreCancelled(t *testing.T) {
+	checkBudgetReleased(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := ForEachChunkedCtx(ctx, 64, 1, func(lo, hi int) {
@@ -203,6 +237,7 @@ func TestForEachChunkedCtxPreCancelled(t *testing.T) {
 // worker budget is try-acquire, so an inner chunked fan-out running on a
 // borrowed worker falls back to inline execution instead of blocking.
 func TestForEachChunkedCtxNested(t *testing.T) {
+	checkBudgetReleased(t)
 	ctx := context.Background()
 	var total int64
 	err := ForEachChunkedCtx(ctx, 16, 1, func(lo, hi int) {
@@ -223,6 +258,7 @@ func TestForEachChunkedCtxNested(t *testing.T) {
 }
 
 func TestForEachPerIndexWritesUnsynced(t *testing.T) {
+	checkBudgetReleased(t)
 	// The documented pattern: per-index slots need no synchronization.
 	out := make([]int, 64)
 	ForEach(64, func(i int) { out[i] = i * i })
