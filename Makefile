@@ -46,13 +46,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector sweep over every package whose flows cross goroutines.
+# Race-detector sweep over every package whose flows cross goroutines
+# (exact: portfolio legs share its Control's atomics).
 race:
 	$(GO) test -race ./internal/par/... ./internal/service/... \
 		./internal/service/middleware/... ./internal/store/... \
 		./internal/see/... ./internal/pg/... ./internal/driver/... \
 		./internal/trace/... ./internal/core/... ./internal/mapper/... \
-		./internal/dse/...
+		./internal/dse/... ./internal/exact/...
 
 # Named stress tests under the race detector, run twice each. The
 # pooled-scratch stress forces the len(states) < par.Width() path where

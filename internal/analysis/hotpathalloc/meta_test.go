@@ -61,7 +61,7 @@ func TestBenchmarkedMethodsAreAnnotated(t *testing.T) {
 // branch-and-bound core — the same checkpoint → assign → rollback cycle
 // BenchmarkAssignRollback pins at 0 allocs/op, replayed millions of
 // times per solve.
-var exactHotFuncs = []string{"dfs", "evalChildren", "evalClusters", "boundDelta"}
+var exactHotFuncs = []string{"dfs", "evalChildren", "evalClusters", "directFeasible", "boundDelta"}
 
 // exactColdEdges are Flow methods the exact core is allowed to call
 // without a hotpath annotation: both run only on incumbent

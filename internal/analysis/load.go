@@ -220,7 +220,9 @@ func (l *Loader) FuncDoc(fn *types.Func) string {
 
 // ModulePackages returns the import paths of every package under the
 // module root that contains non-test Go files, skipping testdata,
-// hidden directories and vendor. This is hcalint's "./..." expansion.
+// hidden directories, vendor and nested modules (any subdirectory with
+// a go.mod of its own), as the go tool's "./..." does. This is
+// hcalint's "./..." expansion.
 func (l *Loader) ModulePackages() ([]string, error) {
 	if l.ModulePath == "" {
 		return nil, fmt.Errorf("analysis: loader has no module")
@@ -236,6 +238,11 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		name := d.Name()
 		if path != l.ModuleDir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != l.ModuleDir {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if !hasGoFiles(path) {
 			return nil

@@ -333,3 +333,25 @@ func TestPortfolioStress(t *testing.T) {
 		t.Errorf("goroutines leaked across portfolio races: %d before, %d after", before, after)
 	}
 }
+
+// A losing portfolio leg whose flow its memo entry holds (a fresh
+// leader result) must not go back to the pg slabs: later memo hits
+// clone that flow.
+func TestPickLegKeepsMemoHeldFlow(t *testing.T) {
+	d := kernels.Fir2Dim()
+	tp := pg.NewTopology("t", 2, 16, 4, 0)
+	tp.AllToAll()
+	held := pg.NewFlow(tp, d)
+	entry := &MemoEntry{flow: held}
+	seeLeg := legResult{out: attemptOutcome{flow: held, score: 2}, entry: entry}
+	exLeg := legResult{out: attemptOutcome{flow: pg.NewFlow(tp, d), score: 1}}
+	if win := pickLeg(seeLeg, exLeg); win.out.score != 1 {
+		t.Fatalf("picked score %v, want the exact leg's 1", win.out.score)
+	}
+	if held.T == nil {
+		t.Fatal("the losing beam leg's memo-held flow was released")
+	}
+	if c := entry.outcome().flow; c.T != tp {
+		t.Fatal("memo hit after the race does not clone the held flow")
+	}
+}

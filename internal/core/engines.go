@@ -398,21 +398,21 @@ func raceLegs(ctx context.Context, ctrl *exact.Control, grace int64, runSee, run
 // pickLeg merges the two finished legs into the portfolio's outcome.
 func pickLeg(seeLeg, exLeg legResult) legResult {
 	if seeLeg.out.err != nil && exLeg.out.err != nil {
-		discardOutcome(&exLeg.out)
+		discardLeg(&exLeg)
 		return seeLeg // both failed: surface the canonical engine's error
 	}
 	if seeLeg.out.err != nil {
 		if exLeg.out.flow == nil {
 			// Exact only certified an incumbent the beam never delivered.
-			discardOutcome(&exLeg.out)
+			discardLeg(&exLeg)
 			return seeLeg
 		}
-		discardOutcome(&seeLeg.out)
+		discardLeg(&seeLeg)
 		exLeg.out.volatile = true
 		return exLeg
 	}
 	if exLeg.out.err != nil {
-		discardOutcome(&exLeg.out)
+		discardLeg(&exLeg)
 		seeLeg.out.volatile = true
 		seeLeg.out.stats.Add(exLeg.out.stats)
 		return seeLeg
@@ -428,7 +428,7 @@ func pickLeg(seeLeg, exLeg legResult) legResult {
 		return legResult{out: out, entry: seeLeg.entry}
 	}
 	if exLeg.out.score < seeLeg.out.score {
-		discardOutcome(&seeLeg.out)
+		discardLeg(&seeLeg)
 		exLeg.out.stats.Add(seeLeg.out.stats)
 		exLeg.out.volatile = true
 		return exLeg
@@ -440,14 +440,16 @@ func pickLeg(seeLeg, exLeg legResult) legResult {
 	}
 	out.stats.Add(exLeg.out.stats)
 	out.volatile = true
-	discardOutcome(&exLeg.out)
+	discardLeg(&exLeg)
 	return legResult{out: out, entry: seeLeg.entry}
 }
 
-// discardOutcome releases a losing leg's flow back to the pg slabs.
-func discardOutcome(o *attemptOutcome) {
-	if o.flow != nil {
-		o.flow.Release()
-		o.flow = nil
+// discardLeg releases a losing leg's flow back to the pg slabs, unless
+// the leg's memo entry holds that very flow: a fresh leader result is
+// the entry's flow, which later hits clone.
+func discardLeg(l *legResult) {
+	if l.out.flow != nil && (l.entry == nil || l.entry.flow != l.out.flow) {
+		l.out.flow.Release()
 	}
+	l.out.flow = nil
 }

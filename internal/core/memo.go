@@ -437,8 +437,9 @@ func runAttempt(ctx context.Context, eng Engine, start *pg.Flow, ws []graph.Node
 		for _, v := range start.T.Cluster(o).Carries {
 			if !out.flow.Available(v, o) {
 				if rerr := out.flow.Route(v, o); rerr != nil {
+					err := fmt.Errorf("pass-through value %d: %w", v, pg.DetachError(rerr))
 					out.flow.Release()
-					return attemptOutcome{err: fmt.Errorf("pass-through value %d: %w", v, rerr), engine: out.engine}
+					return attemptOutcome{err: err, engine: out.engine}
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ddg"
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/pg"
 	"repro/internal/see"
 )
@@ -277,5 +278,71 @@ func TestPublishIncumbentMonotone(t *testing.T) {
 	c.PublishIncumbent(5)
 	if got := c.Incumbent(); got != 5 {
 		t.Errorf("incumbent = %v, want 5", got)
+	}
+}
+
+// TestSearchIdentityPin pins the search itself, not just its optimum:
+// whole kernels on a 4-cluster all-to-all topology with two input ports
+// per cluster (so the route allocator and the dominance set both fire)
+// exhaust a 4096-node budget, and the incumbent they stop at, the
+// candidate count and the prune counts are the values the search
+// produced before children were ruled out on their floor. A floor that
+// skipped a child the search would have descended into, or changed the
+// router rule, moves these. The custom rows add a closure criterion,
+// whose floor is its value on the parent state.
+func TestSearchIdentityPin(t *testing.T) {
+	pins := []struct {
+		kernel             string
+		custom             bool
+		score              float64
+		proved             bool
+		expansions         int64
+		router, dups, cand int
+		fp                 pg.Fingerprint
+	}{
+		{"fir2dim", false, 4208.6, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0x78817af39e6ce18a, Lo: 0x2453bddd81355525}},
+		{"idcthor", false, 9344.6, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0xf8e721f966019f3e, Lo: 0x23debdf929b5e53c}},
+		{"mpeg2inter", false, 4226.8, false, 4097, 17, 0, 16452, pg.Fingerprint{Hi: 0x880e65a15ccb1392, Lo: 0x40c7a274f0397d59}},
+		{"h264deblocking", false, 12939.8, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0xae1402ae59e58930, Lo: 0xc6b7c55238d07649}},
+		{"fft8", false, 5203.2, false, 4097, 0, 185, 16384, pg.Fingerprint{Hi: 0xe5037492c0a3c332, Lo: 0xe1f39343246c4814}},
+		{"sad16", false, 7349.7, false, 4097, 2, 0, 16392, pg.Fingerprint{Hi: 0xdd94066eae2fdcd9, Lo: 0xc5f604b88bf78dd3}},
+		{"fir2dim", true, 5402.8, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0xf932bb72abc76e64, Lo: 0x1bc20927323fcf5d}},
+		{"mpeg2inter", true, 6175.5, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0x1891a1c3714448c3, Lo: 0x2d8978e8b905e41f}},
+		{"fft8", true, 6139.2, false, 4097, 0, 134, 16384, pg.Fingerprint{Hi: 0xc1a81165df892ca3, Lo: 0x18fef46a52d8377b}},
+	}
+	// A positive charge per copy, like core's scheduling-aware
+	// criterion: monotone under Assign, as custom criteria must be.
+	withCustom := append(see.DefaultCriteria(), see.Criterion{Name: "critical-copies", Weight: 120, Eval: func(f *pg.Flow) float64 {
+		s := 0.0
+		f.ForEachCopy(func(_, _ pg.ClusterID, v pg.ValueID) { s += 1 / float64(1+int(v)%3) })
+		return s
+	}})
+	for _, p := range pins {
+		k, err := kernels.ByName(p.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{NodeBudget: 4096}
+		if p.custom {
+			cfg.See.Criteria = withCustom
+		}
+		d := k.Build()
+		res, err := Solve(context.Background(), pg.NewFlow(topo(4, 16, 2), d), wsAll(d), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", p.kernel, err)
+		}
+		label := fmt.Sprintf("%s custom=%v", p.kernel, p.custom)
+		if res.Score != p.score || res.Proved != p.proved || res.Expansions != p.expansions {
+			t.Errorf("%s: score %v proved %v expansions %d, want %v %v %d",
+				label, res.Score, res.Proved, res.Expansions, p.score, p.proved, p.expansions)
+		}
+		if st := res.Stats; st.RouterInvocations != p.router || st.DuplicatesPruned != p.dups || st.CandidatesTried != p.cand {
+			t.Errorf("%s: router %d dominance %d candidates %d, want %d %d %d",
+				label, st.RouterInvocations, st.DuplicatesPruned, st.CandidatesTried, p.router, p.dups, p.cand)
+		}
+		if fp := res.Flow.Fingerprint(); fp != p.fp {
+			t.Errorf("%s: result fingerprint %#x, want %#x", label, fp, p.fp)
+		}
+		res.Flow.Release()
 	}
 }

@@ -21,15 +21,27 @@ type flowError struct {
 }
 
 // stateErr fills the flow's scratch error and returns it. The result is
-// valid until the next failing mutation on f: a Flow is owned by one
-// goroutine at a time and the engines either abort on a propagated
-// failure or discard it before the next speculative call, so the one
-// scratch slot cannot be observed mid-overwrite. Callers that need to
-// retain a failure across further mutations of the same flow must wrap
-// it (fmt.Errorf renders the message eagerly) or copy the string.
+// valid until the next failing mutation on f and only while f is not
+// released: a Flow is owned by one goroutine at a time and the engines
+// either abort on a propagated failure or discard it before the next
+// speculative call, so the one scratch slot cannot be observed
+// mid-overwrite. Wrapping it with fmt.Errorf's %w still points into the
+// scratch, so a caller that keeps a failure past further mutations or
+// past Release must keep DetachError's copy instead.
 func (f *Flow) stateErr(code errCode, n graph.NodeID, c ClusterID) error {
 	f.errScratch = flowError{code: code, n: n, c: c}
 	return &f.errScratch
+}
+
+// DetachError returns err with a flow's scratch failure replaced by a
+// copy of its own, valid after the flow mutates again or goes back to a
+// pool; any other error is returned as it is.
+func DetachError(err error) error {
+	if fe, ok := err.(*flowError); ok {
+		c := *fe
+		return &c
+	}
+	return err
 }
 
 type errCode uint8

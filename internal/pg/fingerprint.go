@@ -96,7 +96,9 @@ func (f *Flow) fpXor(k Fingerprint) {
 // canonLabel returns the cluster label used in fact keys, assigning the
 // next canonical label on a symmetric topology when c (a regular
 // cluster) is touched for the first time. The assignment is journaled
-// so Rollback restores the canonical map along with the facts.
+// so Rollback restores the canonical map along with the facts; callers
+// hand out labels before they fold a fact, so a touch entry that opens
+// a mutation snapshots the pre-mutation fingerprint (journal.go).
 //
 //hca:hotpath
 func (f *Flow) canonLabel(c ClusterID) ClusterID {
@@ -107,19 +109,8 @@ func (f *Flow) canonLabel(c ClusterID) ClusterID {
 		f.canon[c] = ClusterID(f.canonN)
 		f.canonN++
 		if f.journaling {
-			f.journal = append(f.journal, undoEntry{op: undoTouch, x: c})
+			f.journal = append(f.journal, undoEntry{op: undoTouch, x: int8(c), fp: f.fp})
 		}
-	}
-	return f.canon[c]
-}
-
-// canonOf is the read-only half of canonLabel, for the undo path: the
-// label is guaranteed to exist because the forward mutation created it.
-//
-//hca:hotpath
-func (f *Flow) canonOf(c ClusterID) ClusterID {
-	if !f.canonSym || int(c) >= f.T.regular {
-		return c
 	}
 	return f.canon[c]
 }
@@ -128,14 +119,17 @@ func (f *Flow) canonOf(c ClusterID) ClusterID {
 // the whole regular set is added at once on a symmetric topology the
 // aggregate is itself permutation-invariant, so it folds as a single
 // ubiq(v) fact and touches no cluster (preserving symmetry); a partial
-// mask falls back to per-cluster avail facts. XOR symmetry makes the
-// same call serve both the forward mutation and its undo.
+// mask falls back to per-cluster avail facts, whose canonical labels
+// are all handed out before the first fold (see canonLabel).
 //
 //hca:hotpath
 func (f *Flow) fpUbiq(v ValueID, mask uint64) {
 	if f.canonSym && mask == f.allRegMask {
 		f.fpXor(fpFact(fkUbiq, 0, 0, int64(v)))
 		return
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		f.canonLabel(ClusterID(bits.TrailingZeros64(m)))
 	}
 	for m := mask; m != 0; m &= m - 1 {
 		c := ClusterID(bits.TrailingZeros64(m))

@@ -244,11 +244,7 @@ func (f *Flow) Clone() *Flow {
 // Assignment returns the cluster hosting node n, or None.
 func (f *Flow) Assignment(n graph.NodeID) ClusterID { return ClusterID(f.assign[n]) }
 
-// NumAssigned returns how many instructions have been assigned. The
-// exact engine reads it per bound evaluation, once per speculative
-// child, so it is on the branch-and-bound hot path.
-//
-//hca:hotpath
+// NumAssigned returns how many instructions have been assigned.
 func (f *Flow) NumAssigned() int { return f.assigned }
 
 // Instructions returns the DDG nodes assigned to cluster c, ascending.
@@ -349,6 +345,7 @@ func (f *Flow) Assign(n graph.NodeID, c ClusterID) error {
 	f.assigned++
 	// Ubiquitous (rematerialized) values may already be available at c.
 	newAvail := f.avail[n]&(1<<uint(c)) == 0
+	fp0 := f.fp
 	ca := f.canonLabel(c)
 	f.fpXor(fpFact(fkAssign, ca, 0, int64(n)))
 	if newAvail {
@@ -362,7 +359,7 @@ func (f *Flow) Assign(n graph.NodeID, c ClusterID) error {
 		if newAvail {
 			flags |= fNewAvail
 		}
-		f.journal = append(f.journal, undoEntry{op: undoAssign, x: c, v: ValueID(n), flags: flags})
+		f.journal = append(f.journal, undoEntry{op: undoAssign, x: int8(c), v: int32(n), flags: flags, fp: fp0})
 	}
 	f.avail[n] |= 1 << uint(c)
 
@@ -587,6 +584,7 @@ func (f *Flow) addCopy(x, y ClusterID, v ValueID) {
 	if f.arcHas[w]&bit != 0 {
 		return
 	}
+	fp0 := f.fp
 	var flags uint8
 	if f.inSrc[y]&(1<<uint(x)) == 0 {
 		flags |= fNewInSrc
@@ -634,7 +632,7 @@ func (f *Flow) addCopy(x, y ClusterID, v ValueID) {
 		flags |= fSendInc
 	}
 	if f.journaling {
-		f.journal = append(f.journal, undoEntry{op: undoCopy, x: x, y: y, v: v, flags: flags})
+		f.journal = append(f.journal, undoEntry{op: undoCopy, x: int8(x), y: int8(y), v: int32(v), flags: flags, fp: fp0})
 	}
 }
 
@@ -663,9 +661,10 @@ func (f *Flow) carriesOut(x ClusterID, v ValueID) bool {
 // wires or receive slots.
 func (f *Flow) MarkUbiquitous(v ValueID) {
 	if added := f.allRegMask &^ f.avail[v]; added != 0 {
+		fp0 := f.fp
 		f.fpUbiq(v, added)
 		if f.journaling {
-			f.journal = append(f.journal, undoEntry{op: undoUbiquitous, v: v, mask: added})
+			f.journal = append(f.journal, undoEntry{op: undoUbiquitous, v: int32(v), mask: added, fp: fp0})
 		}
 	}
 	f.avail[v] |= f.allRegMask
@@ -694,6 +693,7 @@ func (f *Flow) ReserveArc(x, y ClusterID) error {
 	if f.outDst[x]&(1<<uint(y)) == 0 {
 		flags |= fNewOutDst
 	}
+	fp0 := f.fp
 	cx, cy := f.canonLabel(x), f.canonLabel(y)
 	if flags&fNewInSrc != 0 {
 		f.fpXor(fpFact(fkInSrc, cx, cy, 0))
@@ -702,7 +702,7 @@ func (f *Flow) ReserveArc(x, y ClusterID) error {
 		f.fpXor(fpFact(fkOutDst, cx, cy, 0))
 	}
 	if f.journaling {
-		f.journal = append(f.journal, undoEntry{op: undoReserve, x: x, y: y, flags: flags})
+		f.journal = append(f.journal, undoEntry{op: undoReserve, x: int8(x), y: int8(y), flags: flags, fp: fp0})
 	}
 	f.inSrc[y] |= 1 << uint(x)
 	f.outDst[x] |= 1 << uint(y)

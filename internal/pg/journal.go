@@ -25,7 +25,14 @@ package pg
 //   - the incremental caches (the copy-log length, the per-cluster
 //     counter block) are updated by both the forward mutations and
 //     their undos, so EstimateMII and TotalCopies stay O(clusters) and
-//     allocation-free at every point.
+//     allocation-free at every point;
+//   - every entry carries the fingerprint as it stood before its
+//     mutation began: a mutation's own record stores the value captured
+//     on entry, and the canonical-label touches it triggers, which store
+//     the current value, happen before it folds any fact. Marks fall
+//     between mutations, so journal[m].fp is the fingerprint at mark m
+//     and Rollback restores it with one copy instead of rehashing every
+//     undone fact.
 
 // Mark identifies a journal position to roll back to.
 type Mark int
@@ -38,10 +45,7 @@ const (
 	undoReserve
 	undoUbiquitous
 	// undoTouch retracts a canonical cluster label handed out by
-	// canonLabel (fingerprint.go). Touch entries precede the mutation
-	// entry whose facts used the label, so LIFO undo recomputes every
-	// fact key under a still-valid canonical map and only then retracts
-	// the label.
+	// canonLabel (fingerprint.go).
 	undoTouch
 )
 
@@ -56,12 +60,15 @@ const (
 	fMemInstr                      // memInstr[c] was incremented
 )
 
+// undoEntry is one journal record, packed to 32 bytes: cluster IDs fit
+// an int8 (maxClusters is 64) and value IDs an int32.
 type undoEntry struct {
 	op    undoOp
-	x, y  ClusterID
-	v     ValueID
 	flags uint8
-	mask  uint64 // undoUbiquitous: avail bits newly set
+	x, y  int8
+	v     int32
+	mask  uint64      // undoUbiquitous: avail bits newly set
+	fp    Fingerprint // the flow's fingerprint before the mutation
 }
 
 // Checkpoint enables journaling (if it was off) and returns a mark that
@@ -109,79 +116,57 @@ func (f *Flow) Rollback(mark Mark) {
 	if len(f.journal) > f.journalHW {
 		f.journalHW = len(f.journal)
 	}
+	if int(mark) < len(f.journal) {
+		f.fp = f.journal[mark].fp
+	}
 	for i := len(f.journal) - 1; i >= int(mark); i-- {
 		e := &f.journal[i]
+		x, y, v := int(e.x), int(e.y), int(e.v)
 		switch e.op {
 		case undoAssign:
-			ca := f.canonOf(e.x)
-			f.fpXor(fpFact(fkAssign, ca, 0, int64(e.v)))
-			if e.flags&fNewAvail != 0 {
-				f.fpXor(fpFact(fkAvail, ca, 0, int64(e.v)))
-			}
-			f.assign[e.v] = -1
-			f.cnt[int(e.x)*cntStride+cntInstr]--
+			f.assign[v] = -1
+			f.cnt[x*cntStride+cntInstr]--
 			if e.flags&fMemInstr != 0 {
-				f.cnt[int(e.x)*cntStride+cntMem]--
+				f.cnt[x*cntStride+cntMem]--
 			}
 			f.assigned--
 			if e.flags&fNewAvail != 0 {
-				f.avail[e.v] &^= 1 << uint(e.x)
+				f.avail[v] &^= 1 << uint(x)
 			}
 		case undoCopy:
-			cx, cy := f.canonOf(e.x), f.canonOf(e.y)
-			f.fpXor(fpFact(fkCopy, cx, cy, int64(e.v)))
-			if e.flags&fNewInSrc != 0 {
-				f.fpXor(fpFact(fkInSrc, cx, cy, 0))
-			}
-			if e.flags&fNewOutDst != 0 {
-				f.fpXor(fpFact(fkOutDst, cx, cy, 0))
-			}
-			if e.flags&fNewAvail != 0 {
-				f.fpXor(fpFact(fkAvail, cy, 0, int64(e.v)))
-			}
-			if e.flags&fSendInc != 0 {
-				// Unfold the same old→new transition pair addCopy folded.
-				s := f.cnt[int(e.x)*cntStride+cntSend]
-				f.fpXor(fpFact(fkSend, cx, 0, int64(s)))
-				f.fpXor(fpFact(fkSend, cx, 0, int64(s-1)))
-			}
 			// Global LIFO: this copy is the tail of the log.
-			key := int32(e.x)<<arcShift | int32(e.y)
-			f.arcHas[int(f.T.arcIdx[key])*f.vwords+int(e.v)>>6] &^= 1 << (uint(e.v) & 63)
+			key := int32(x)<<arcShift | int32(y)
+			f.arcHas[int(f.T.arcIdx[key])*f.vwords+v>>6] &^= 1 << (uint(v) & 63)
 			f.copyLog = f.copyLog[:len(f.copyLog)-1]
 			if e.flags&fNewInSrc != 0 {
-				f.inSrc[e.y] &^= 1 << uint(e.x)
+				f.inSrc[y] &^= 1 << uint(x)
 			}
 			if e.flags&fNewOutDst != 0 {
-				f.outDst[e.x] &^= 1 << uint(e.y)
+				f.outDst[x] &^= 1 << uint(y)
 			}
 			if e.flags&fNewAvail != 0 {
-				f.avail[e.v] &^= 1 << uint(e.y)
+				f.avail[v] &^= 1 << uint(y)
 			}
 			if e.flags&fRecvInc != 0 {
-				f.cnt[int(e.y)*cntStride+cntRecv]--
+				f.cnt[y*cntStride+cntRecv]--
 			}
 			if e.flags&fSendInc != 0 {
-				f.cnt[int(e.x)*cntStride+cntSend]--
+				f.cnt[x*cntStride+cntSend]--
 			}
 			if e.flags&fDistinctInc != 0 {
-				f.cnt[int(e.x)*cntStride+cntDistinct]--
+				f.cnt[x*cntStride+cntDistinct]--
 			}
 		case undoReserve:
-			cx, cy := f.canonOf(e.x), f.canonOf(e.y)
 			if e.flags&fNewInSrc != 0 {
-				f.fpXor(fpFact(fkInSrc, cx, cy, 0))
-				f.inSrc[e.y] &^= 1 << uint(e.x)
+				f.inSrc[y] &^= 1 << uint(x)
 			}
 			if e.flags&fNewOutDst != 0 {
-				f.fpXor(fpFact(fkOutDst, cx, cy, 0))
-				f.outDst[e.x] &^= 1 << uint(e.y)
+				f.outDst[x] &^= 1 << uint(y)
 			}
 		case undoUbiquitous:
-			f.fpUbiq(e.v, e.mask)
-			f.avail[e.v] &^= e.mask
+			f.avail[v] &^= e.mask
 		case undoTouch:
-			f.canon[e.x] = None
+			f.canon[x] = None
 			f.canonN--
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ddg"
 	"repro/internal/graph"
@@ -271,6 +272,13 @@ func TestCopyFromRejectsForeignFlow(t *testing.T) {
 	NewFlow(tpA, d).CopyFrom(NewFlow(tpB, d))
 }
 
+// The journal's per-entry footprint, fingerprint snapshot included.
+func TestUndoEntryIsPacked(t *testing.T) {
+	if got := unsafe.Sizeof(undoEntry{}); got != 32 {
+		t.Errorf("undoEntry is %d bytes, want 32", got)
+	}
+}
+
 // TestRandomizedAssignRollback is the journal's property test: random
 // DDGs, random (possibly failing) assignment bursts under a checkpoint,
 // rollback, and a bit-exact comparison against the pre-checkpoint clone
@@ -279,7 +287,7 @@ func TestRandomizedAssignRollback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		nOps := 8 + rng.Intn(24)
-		d := randomDDG(rng, nOps)
+		d := randomDDG(rng, nOps, false)
 		k := 2 + rng.Intn(3)
 		maxIn := 1 + rng.Intn(3)
 		tp := NewTopology(fmt.Sprintf("rt%d", trial), k, 2+rng.Intn(3), maxIn, 0)
@@ -324,6 +332,102 @@ func TestRandomizedAssignRollback(t *testing.T) {
 	}
 }
 
+// TestAssignFloorBoundsAssign is AssignFloor's property test, on the
+// same random DDGs as TestRandomizedAssignRollback plus loads, memory-
+// less clusters, missing potential arcs and special nodes: from random
+// partial states under both routing bounds, for every unassigned node
+// and regular cluster, an infeasible verdict implies that Assign fails,
+// a successful Assign lands on or above every floor term, and the floor
+// leaves the flow, fingerprint included, untouched.
+func TestAssignFloorBoundsAssign(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var ruledOut, assigned int
+	for trial := 0; trial < 60; trial++ {
+		nOps := 8 + rng.Intn(24)
+		d := randomDDG(rng, nOps, true)
+		k := 2 + rng.Intn(3)
+		tp := NewTopology(fmt.Sprintf("ft%d", trial), k, 1+rng.Intn(3), 1+rng.Intn(3), rng.Intn(3))
+		tp.AllToAll()
+		for x := 0; x < k; x++ {
+			for y := 0; y < k; y++ {
+				if x != y && rng.Intn(4) == 0 {
+					tp.SetPotential(ClusterID(x), ClusterID(y), false)
+				}
+			}
+			if rng.Intn(3) == 0 {
+				tp.SetMemSlots(ClusterID(x), 0)
+			}
+		}
+		if rng.Intn(2) == 0 {
+			tp.AddInputNode([]ValueID{0})
+		}
+		if rng.Intn(2) == 0 {
+			tp.AddOutputNode([]ValueID{ValueID(nOps - 1 - rng.Intn(nOps/2))})
+		}
+		f := NewFlow(tp, d)
+		for _, n := range rng.Perm(nOps) {
+			if rng.Intn(6) == 0 {
+				f.MarkUbiquitous(ValueID(rng.Intn(nOps)))
+			}
+			for _, hops := range []int{1, 0} {
+				f.SetMaxHops(hops)
+				snap := f.Clone()
+				parent := termsOf(f)
+				for u := 0; u < nOps; u++ {
+					if f.Assignment(graph.NodeID(u)) != None {
+						continue
+					}
+					for c := 0; c < k; c++ {
+						floor, ok := f.AssignFloor(graph.NodeID(u), ClusterID(c), parent)
+						if diff := diffFlows(f, snap); diff != "" {
+							t.Fatalf("trial %d: AssignFloor(%d, %d) mutated the flow: %s", trial, u, c, diff)
+						}
+						mark := f.Checkpoint()
+						err := f.Assign(graph.NodeID(u), ClusterID(c))
+						if err == nil {
+							assigned++
+							if !ok {
+								t.Fatalf("trial %d hops %d: AssignFloor(%d, %d) ruled out an assignment that succeeds", trial, hops, u, c)
+							}
+							if got := termsOf(f); floor.MII > got.MII || floor.Copies > got.Copies ||
+								floor.Balance > got.Balance || floor.Ports > got.Ports {
+								t.Fatalf("trial %d hops %d: AssignFloor(%d, %d) = %+v above the assigned terms %+v", trial, hops, u, c, floor, got)
+							}
+						} else if !ok {
+							ruledOut++
+						}
+						f.Rollback(mark)
+					}
+				}
+				snap.Release()
+			}
+			// Commit a random placement of n, then grow the next state.
+			f.SetMaxHops(rng.Intn(2))
+			mark := f.Checkpoint()
+			if f.Assign(graph.NodeID(n), ClusterID(rng.Intn(k))) != nil {
+				f.Rollback(mark)
+			}
+			f.DropJournal()
+			f.SetMaxHops(0)
+		}
+	}
+	if ruledOut == 0 || assigned == 0 {
+		t.Fatalf("corpus too easy: %d ruled out, %d assigned", ruledOut, assigned)
+	}
+
+	f, n, c := halfAssigned(t)
+	parent := termsOf(f)
+	f.SetMaxHops(1)
+	if allocs := testing.AllocsPerRun(100, func() { f.AssignFloor(n, c, parent) }); allocs != 0 {
+		t.Errorf("AssignFloor allocates %v times per call", allocs)
+	}
+}
+
+func termsOf(f *Flow) Terms {
+	mii, copies, balance, ports := f.ObjectiveTerms()
+	return Terms{MII: int32(mii), Copies: int32(copies), Balance: int32(balance), Ports: int32(ports)}
+}
+
 // verifyCaches recounts the incremental objective caches from the copy
 // log (the part of Verify that guards the delta engine, usable on flows
 // that are mid-assignment and would fail full Verify).
@@ -349,14 +453,18 @@ func verifyCaches(f *Flow) error {
 }
 
 // randomDDG builds a random acyclic DDG of n ops whose every non-root
-// consumes 1-2 earlier values.
-func randomDDG(rng *rand.Rand, n int) *ddg.DDG {
+// consumes 1-2 earlier values; with loads, about one op in five is a
+// load instead.
+func randomDDG(rng *rand.Rand, n int, loads bool) *ddg.DDG {
 	d := ddg.New("rand")
 	d.AddConst(1, "c0")
 	for i := 1; i < n; i++ {
 		op := ddg.OpAdd
 		if rng.Intn(4) == 0 {
 			op = ddg.OpMov
+		}
+		if loads && rng.Intn(5) == 0 {
+			op = ddg.OpLoad
 		}
 		id := d.AddOp(op, fmt.Sprintf("n%d", i))
 		d.AddDep(graph.NodeID(rng.Intn(i)), id, 0, 0)

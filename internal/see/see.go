@@ -757,7 +757,7 @@ func (e *engine) expandFrontier(ctx context.Context, frontier []scored, n graph.
 			if err := g.Assign(n, s.c); err != nil {
 				// Cannot happen: the scratch evaluation of this exact (state,
 				// cluster) pair succeeded and Assign is deterministic.
-				errs[i] = fmt.Errorf("see: materialize instruction %d on cluster %d: %w", n, s.c, err)
+				errs[i] = fmt.Errorf("see: materialize instruction %d on cluster %d: %w", n, s.c, pg.DetachError(err))
 				e.pool.Put(g)
 				continue
 			}
