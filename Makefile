@@ -1,9 +1,9 @@
 # Tier-1 gate: `make check` is what CI (and every PR) must keep green.
 # It formats-checks, vets, lints (the custom hcalint analyzers), builds
-# and tests the whole module, then re-runs the concurrent packages (the
-# fork-join helper, the compilation service, the solver core/mapper and
-# the delta-engine packages whose flows cross goroutines) under the
-# race detector.
+# and tests the whole module and the benchmark module under e2ebench/,
+# then re-runs the concurrent packages (the fork-join helper, the
+# compilation service, the solver core/mapper and the delta-engine
+# packages whose flows cross goroutines) under the race detector.
 
 GO ?= go
 
@@ -15,9 +15,9 @@ OUT ?= BENCH_10.json
 # benchmarking a tree whose HEAD is not the commit under test.
 GIT_SHA ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: check fmt vet lint lint-json build test race race-stress fuzz-smoke bench bench-smoke daemon
+.PHONY: check fmt vet lint lint-json build test bench-module race race-stress fuzz-smoke bench bench-smoke daemon
 
-check: fmt vet lint build test race race-stress
+check: fmt vet lint build test bench-module race race-stress
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -46,6 +46,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark under e2ebench/ is a Go module of its own, which the
+# root-level vet, build and test skip; vetting and testing it here
+# catches a root API change that would break the benchmark build.
+bench-module:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
 # Race-detector sweep over every package whose flows cross goroutines
 # (exact: portfolio legs share its Control's atomics).
 race:
@@ -56,18 +62,14 @@ race:
 		./internal/dse/... ./internal/exact/...
 
 # Named stress tests under the race detector, run twice each. The
-# pooled-scratch stress forces the len(states) < par.Width() path where
-# concurrent workers CopyFrom overlapping pool slots; the parallel
-# expansion stress hammers the frontier fan-out; the crash-recovery
-# test replays orphaned tmp files, torn records and quarantine-and-heal
-# — the invariant the whole persistence layer hangs off; the portfolio
-# stress runs concurrent portfolio solves with mid-race cancellation,
-# the path where the beam and exact legs' cancel/incumbent protocol
-# could leak goroutines or race on the shared memo. The package-wide
-# sweep only hits these interleavings incidentally.
+# crash-recovery test replays orphaned tmp files, torn records and
+# quarantine-and-heal — the invariant the whole persistence layer hangs
+# off; the portfolio stress runs concurrent portfolio solves with
+# mid-race cancellation, the path where the beam and exact legs'
+# cancel/incumbent protocol could leak goroutines or race on the shared
+# memo. The package-wide sweep only hits these interleavings
+# incidentally.
 race-stress:
-	$(GO) test -race -run TestChunkedScratchStress -count=2 ./internal/see/
-	$(GO) test -race -run TestParallelExpansionStress -count=2 ./internal/see/
 	$(GO) test -race -run TestStoreCrashRecovery -count=2 ./internal/store/
 	$(GO) test -race -run TestPortfolioStress -count=2 ./internal/core/
 

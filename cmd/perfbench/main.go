@@ -9,10 +9,6 @@
 //     the incremental EstimateMII read;
 //   - end-to-end HCA wall time per Table-1 kernel, compared against the
 //     pre-rewrite figures recorded below;
-//   - the parallel frontier-expansion section: one end-to-end single
-//     solve at GOMAXPROCS 1, 2 and 4 (the GOMAXPROCS=1 row doubles as
-//     the serial ablation — par falls back to fully inline chunking)
-//     against the packed-state baseline recorded in BENCH_5;
 //   - end-to-end HCAWithFeedback per Table-1 kernel with frontier dedup
 //     and the subproblem memo ON versus both OFF, plus the memo's
 //     hit/miss traffic for the ON configuration;
@@ -32,9 +28,7 @@
 //
 // Every report carries a provenance block (go version, GOOS/GOARCH,
 // GOMAXPROCS, CPU count, git SHA) so scorecards from different
-// containers are never silently compared — in -quick smoke mode too,
-// and the block always records the environment's GOMAXPROCS, not
-// whatever value the parallel-expansion ablation left behind.
+// containers are never silently compared — in -quick smoke mode too.
 //
 // Usage:
 //
@@ -52,7 +46,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -79,16 +72,6 @@ var prePR = map[string]Metric{
 	"idcthor":        {NsPerOp: 70591828, AllocsPerOp: 510693},
 	"mpeg2inter":     {NsPerOp: 48217206, AllocsPerOp: 380963},
 	"h264deblocking": {NsPerOp: 765426458, AllocsPerOp: 5017624},
-}
-
-// bench5 holds the BenchmarkTable1 figures recorded in BENCH_5.json
-// (packed-state rewrite not yet landed, serial expansion): the
-// solve_parallel section's speedup column is computed against these.
-var bench5 = map[string]Metric{
-	"fir2dim":        {NsPerOp: 3044455, AllocsPerOp: 13368},
-	"idcthor":        {NsPerOp: 5336796, AllocsPerOp: 26364},
-	"mpeg2inter":     {NsPerOp: 3603955, AllocsPerOp: 16195},
-	"h264deblocking": {NsPerOp: 135853718, AllocsPerOp: 386775},
 }
 
 // Metric is one benchmark's cost.
@@ -145,9 +128,6 @@ type Report struct {
 	// Table1 is end-to-end core.HCA per paper kernel vs the recorded
 	// pre-rewrite figures.
 	Table1 map[string]Comparison `json:"table1_end_to_end"`
-	// SolveParallel is the parallel frontier-expansion section: the
-	// end-to-end single solve at GOMAXPROCS 1/2/4 vs the BENCH_5 figure.
-	SolveParallel SolveParallel `json:"solve_parallel"`
 	// Feedback is end-to-end driver.HCAWithFeedback per paper kernel,
 	// dedup+memo on vs off, measured back to back in this process.
 	Feedback map[string]FeedbackComparison `json:"feedback_end_to_end"`
@@ -457,80 +437,6 @@ type ServiceBatch struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// SolveParallel records the chunked frontier expansion's scaling: one
-// end-to-end core.HCA solve of the named kernel timed at GOMAXPROCS 1,
-// 2 and 4, against the serial packed-state figure recorded in BENCH_5.
-// The GOMAXPROCS=1 row is the serial ablation — par.ForEachChunkedCtx
-// degenerates to a fully inline loop with no goroutines, so serial_ns
-// vs parallel_ns isolates what the worker fan-out costs or buys on the
-// benchmarking host (on a single-core container the two should be
-// within noise of each other; the speedup over BENCH_5 then comes from
-// the cache-flat packed state, not from parallelism).
-type SolveParallel struct {
-	Kernel     string            `json:"kernel"`
-	BaselineNs int64             `json:"bench5_baseline_ns"`
-	ByProcs    map[string]Metric `json:"by_gomaxprocs"`
-	// SerialNs/ParallelNs name the ablation pair: by_gomaxprocs["1"]
-	// (inline expansion) and by_gomaxprocs["4"] (chunked workers).
-	SerialNs        int64   `json:"serial_ns"`
-	ParallelNs      int64   `json:"parallel_ns"`
-	SerialOverPar   float64 `json:"serial_over_parallel"`
-	SpeedupVsBench5 float64 `json:"speedup_vs_bench5"`
-	SpeedupAtMax    float64 `json:"speedup_vs_bench5_at_gomaxprocs_4"`
-}
-
-// benchSolveParallel times the end-to-end single solve at each
-// GOMAXPROCS setting. The caller's GOMAXPROCS is restored on return so
-// the provenance block (assembled before this runs) stays truthful for
-// every other section.
-func benchSolveParallel(quick bool) SolveParallel {
-	name := "h264deblocking"
-	if quick {
-		name = "fir2dim"
-	}
-	var k kernels.Kernel
-	for _, kk := range kernels.All() {
-		if kk.Name == name {
-			k = kk
-		}
-	}
-	mc := machine.DSPFabric64(8, 8, 8)
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	sp := SolveParallel{
-		Kernel:     name,
-		BaselineNs: bench5[name].NsPerOp,
-		ByProcs:    make(map[string]Metric, 3),
-	}
-	for _, p := range []int{1, 2, 4} {
-		fmt.Fprintf(os.Stderr, "perfbench: solve_parallel %s GOMAXPROCS=%d...\n", name, p)
-		runtime.GOMAXPROCS(p)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.HCA(context.Background(), k.Build(), mc, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		sp.ByProcs[strconv.Itoa(p)] = metric(r)
-	}
-	sp.SerialNs = sp.ByProcs["1"].NsPerOp
-	sp.ParallelNs = sp.ByProcs["4"].NsPerOp
-	if sp.ParallelNs > 0 {
-		sp.SerialOverPar = round2(float64(sp.SerialNs) / float64(sp.ParallelNs))
-		sp.SpeedupAtMax = round2(float64(sp.BaselineNs) / float64(sp.ParallelNs))
-	}
-	best := sp.SerialNs
-	if sp.ParallelNs > 0 && sp.ParallelNs < best {
-		best = sp.ParallelNs
-	}
-	if best > 0 {
-		sp.SpeedupVsBench5 = round2(float64(sp.BaselineNs) / float64(best))
-	}
-	return sp
-}
-
 func metric(r testing.BenchmarkResult) Metric {
 	return Metric{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp()}
 }
@@ -666,13 +572,9 @@ func main() {
 	quick := flag.Bool("quick", false, "smoke mode: restrict the end-to-end sections to fir2dim")
 	flag.Parse()
 
-	// The provenance block is assembled before any section runs — in
-	// -quick smoke mode too — so the recorded GOMAXPROCS is the
-	// environment's, not a value the solve_parallel ablation set.
 	rep := Report{
-		Note: "delta-based SEE vs clone-per-candidate baseline; packed-state " +
-			"parallel expansion at GOMAXPROCS 1/2/4 vs the BENCH_5 serial " +
-			"figures; frontier dedup + subproblem memo vs both disabled; " +
+		Note: "delta-based SEE vs clone-per-candidate baseline; " +
+			"frontier dedup + subproblem memo vs both disabled; " +
 			"pre-rewrite Table-1 figures recorded at the pre-delta commit; " +
 			"engine portfolio: beam vs budgeted exact B&B vs the per-subproblem race; " +
 			"dse sweep: shared cross-configuration memo vs per-point memos vs S cold solves",
@@ -827,11 +729,6 @@ func main() {
 		}
 		rep.Feedback[k.Name] = fc
 	}
-
-	// Parallel frontier expansion: the -quick smoke path covers this
-	// section too (on fir2dim), so CI exercises the chunked expansion at
-	// every GOMAXPROCS setting on each push.
-	rep.SolveParallel = benchSolveParallel(*quick)
 
 	fmt.Fprintln(os.Stderr, "perfbench: service batch cold vs warm store...")
 	rep.ServiceBatch = benchServiceBatch(*quick)

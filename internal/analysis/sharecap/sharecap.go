@@ -1,10 +1,10 @@
 // Package sharecap guards the repo's parallel-loop discipline: a
-// closure handed to par.ForEach / ForEachCtx / ForEachChunkedCtx — or
-// spawned with a go statement inside internal/see or internal/core —
-// runs concurrently with its siblings, so writing a captured variable
-// from inside one is a data race unless the write goes through the
-// per-chunk scratch/bucket discipline (indexing a shared slice by a
-// closure-local index), a mutex, or an atomic.
+// closure handed to par.ForEach / ForEachCtx — or spawned with a go
+// statement inside internal/see or internal/core — runs concurrently
+// with its siblings, so writing a captured variable from inside one is
+// a data race unless the write goes through the per-slot discipline
+// (indexing a shared slice by a closure-local index), a mutex, or an
+// atomic.
 //
 // The analyzer flags assignments, inc/dec and appends whose target
 // decomposes to a variable captured from the enclosing function. An
@@ -13,8 +13,8 @@
 // per worker) and passes. A write positionally preceded by a .Lock()
 // call in the same closure is treated as mutex-guarded. Atomic
 // updates are method/function calls, not assignments, so they pass
-// naturally. This is the class of bug TestParallelExpansionStress can
-// only catch probabilistically; here it is structural.
+// naturally. The race detector catches this class of bug only when the
+// schedule cooperates; here it is structural.
 package sharecap
 
 import (
@@ -36,16 +36,15 @@ var goScopes = []string{"internal/see", "internal/core"}
 // parEntry names the par entrypoints whose final argument is a worker
 // closure.
 var parEntry = map[string]bool{
-	"ForEach":           true,
-	"ForEachCtx":        true,
-	"ForEachChunkedCtx": true,
+	"ForEach":    true,
+	"ForEachCtx": true,
 }
 
 // Analyzer flags unsynchronized writes to captured variables in
 // parallel closures.
 var Analyzer = &analysis.Analyzer{
 	Name: "sharecap",
-	Doc:  "closures run by internal/par or spawned in see/core must not write captured variables without per-chunk, atomic or mutex discipline",
+	Doc:  "closures run by internal/par or spawned in see/core must not write captured variables without per-slot, atomic or mutex discipline",
 	Run:  run,
 }
 
@@ -92,7 +91,7 @@ func checkClosure(pass *analysis.Pass, lit *ast.FuncLit, what string) {
 				return // a Lock() ran earlier in this closure body
 			}
 		}
-		pass.Reportf(pos, "%s writes captured variable %s without per-chunk, atomic or mutex discipline", what, name)
+		pass.Reportf(pos, "%s writes captured variable %s without per-slot, atomic or mutex discipline", what, name)
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

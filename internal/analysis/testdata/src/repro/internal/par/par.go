@@ -18,8 +18,3 @@ func ForEachCtx(ctx context.Context, n int, fn func(int)) error {
 	}
 	return ctx.Err()
 }
-
-func ForEachChunkedCtx(ctx context.Context, n, minChunk int, fn func(lo, hi int)) error {
-	fn(0, n)
-	return ctx.Err()
-}

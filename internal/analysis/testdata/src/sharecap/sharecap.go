@@ -44,18 +44,6 @@ func sharedTelemetry(ctx context.Context, e *engine, n int) {
 	})
 }
 
-func sharedScalarChunked(ctx context.Context, n int) int {
-	best := 0
-	par.ForEachChunkedCtx(ctx, n, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i > best {
-				best = i // want `closure passed to par.ForEachChunkedCtx writes captured variable best`
-			}
-		}
-	})
-	return best
-}
-
 func sharedMapByLocalKey(n int, m map[int]int) {
 	par.ForEach(n, func(i int) {
 		// Distinct keys do not make concurrent map writes safe.
@@ -79,14 +67,14 @@ func perSlotWrites(n int, vs []int) []int {
 	return out
 }
 
-func perChunkScratch(ctx context.Context, n int) []int {
+func perSlotScratch(ctx context.Context, n int) []int {
 	out := make([]int, n)
-	par.ForEachChunkedCtx(ctx, n, 8, func(lo, hi int) {
+	par.ForEachCtx(ctx, n, func(i int) {
 		acc := 0 // closure-local scratch
-		for i := lo; i < hi; i++ {
-			acc += i
-			out[i] = acc
+		for j := 0; j <= i; j++ {
+			acc += j
 		}
+		out[i] = acc
 	})
 	return out
 }

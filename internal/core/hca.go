@@ -520,7 +520,9 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 	var bestEntry *MemoEntry
 	var err error
 	for i, cfg := range append(ladder, ladder[1:]...) {
-		if best.flow != nil {
+		// A cancelled attempt ends the ladder: later rungs would only
+		// fail the same way.
+		if best.flow != nil || ctx.Err() != nil {
 			break
 		}
 		start := flow
@@ -552,6 +554,11 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 		}
 		best, bestEntry = out, entry
 	}
+	// Cancellation surfaces unwrapped so callers can match it with
+	// errors.Is(err, context.Canceled / DeadlineExceeded).
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
 	// A min-cut partition seed (Chu-style multilevel, §6) competes with
 	// the beam solution at every subproblem; the flow with the lower
 	// estimated MII (then fewer copies) wins.
@@ -569,10 +576,8 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 		}
 	}
 	if best.flow == nil {
-		// Cancellation surfaces unwrapped so callers can match it with
-		// errors.Is(err, context.Canceled / DeadlineExceeded).
 		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+			return cerr // cancelled while the seed ran
 		}
 		return fmt.Errorf("hca: subproblem %s: %w", pathString(path), err)
 	}

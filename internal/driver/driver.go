@@ -61,12 +61,11 @@ func variants(base core.Options) []struct {
 
 // RunVariants runs every heuristic variant end to end (HCA + modulo
 // scheduling) and returns all outcomes in variant order. The variants
-// are independent races, so they fan out over par's chunked pool — each
-// worker writes only its own slots, keeping the result order (and thus
-// the Better tie-break applied by callers) deterministic. A cancelled
-// ctx aborts variants that have not started (ForEachChunkedCtx skips
-// them, and they are backfilled below); their entries carry ctx's
-// error.
+// are independent races, so they fan out over par's pool — each worker
+// writes only its own slot, keeping the result order (and thus the
+// Better tie-break applied by callers) deterministic. A cancelled ctx
+// aborts variants that have not started (ForEachCtx skips them, and
+// they are backfilled below); their entries carry ctx's error.
 //
 // Unless the caller supplied its own (or disabled it), the variants
 // share one subproblem memo: every retry-ladder rung a variant does not
@@ -107,11 +106,7 @@ func RunVariants(ctx context.Context, d *ddg.DDG, mc *machine.Config, base core.
 		sp.SetInt("ii", int64(s.II))
 		sp.SetInt("receives", int64(res.Recvs))
 	}
-	_ = par.ForEachChunkedCtx(ctx, len(vs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			runOne(i)
-		}
-	})
+	_ = par.ForEachCtx(ctx, len(vs), runOne)
 	for i := range out {
 		if out[i].Name == "" { // skipped by the cancellation cut
 			out[i].Name, out[i].Err = vs[i].name, ctx.Err()

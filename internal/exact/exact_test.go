@@ -300,15 +300,15 @@ func TestSearchIdentityPin(t *testing.T) {
 		router, dups, cand int
 		fp                 pg.Fingerprint
 	}{
-		{"fir2dim", false, 4208.6, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0x78817af39e6ce18a, Lo: 0x2453bddd81355525}},
-		{"idcthor", false, 9344.6, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0xf8e721f966019f3e, Lo: 0x23debdf929b5e53c}},
-		{"mpeg2inter", false, 4226.8, false, 4097, 17, 0, 16452, pg.Fingerprint{Hi: 0x880e65a15ccb1392, Lo: 0x40c7a274f0397d59}},
-		{"h264deblocking", false, 12939.8, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0xae1402ae59e58930, Lo: 0xc6b7c55238d07649}},
-		{"fft8", false, 5203.2, false, 4097, 0, 185, 16384, pg.Fingerprint{Hi: 0xe5037492c0a3c332, Lo: 0xe1f39343246c4814}},
-		{"sad16", false, 7349.7, false, 4097, 2, 0, 16392, pg.Fingerprint{Hi: 0xdd94066eae2fdcd9, Lo: 0xc5f604b88bf78dd3}},
-		{"fir2dim", true, 5402.8, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0xf932bb72abc76e64, Lo: 0x1bc20927323fcf5d}},
-		{"mpeg2inter", true, 6175.5, false, 4097, 0, 0, 16384, pg.Fingerprint{Hi: 0x1891a1c3714448c3, Lo: 0x2d8978e8b905e41f}},
-		{"fft8", true, 6139.2, false, 4097, 0, 134, 16384, pg.Fingerprint{Hi: 0xc1a81165df892ca3, Lo: 0x18fef46a52d8377b}},
+		{"fir2dim", false, 4208.6, false, 4096, 0, 0, 16384, pg.Fingerprint{Hi: 0x78817af39e6ce18a, Lo: 0x2453bddd81355525}},
+		{"idcthor", false, 9344.6, false, 4096, 0, 0, 16384, pg.Fingerprint{Hi: 0xf8e721f966019f3e, Lo: 0x23debdf929b5e53c}},
+		{"mpeg2inter", false, 4226.8, false, 4096, 17, 0, 16452, pg.Fingerprint{Hi: 0x880e65a15ccb1392, Lo: 0x40c7a274f0397d59}},
+		{"h264deblocking", false, 12939.8, false, 4096, 0, 0, 16384, pg.Fingerprint{Hi: 0xae1402ae59e58930, Lo: 0xc6b7c55238d07649}},
+		{"fft8", false, 5203.2, false, 4096, 0, 185, 16384, pg.Fingerprint{Hi: 0xe5037492c0a3c332, Lo: 0xe1f39343246c4814}},
+		{"sad16", false, 7349.7, false, 4096, 2, 0, 16392, pg.Fingerprint{Hi: 0xdd94066eae2fdcd9, Lo: 0xc5f604b88bf78dd3}},
+		{"fir2dim", true, 5402.8, false, 4096, 0, 0, 16384, pg.Fingerprint{Hi: 0xf932bb72abc76e64, Lo: 0x1bc20927323fcf5d}},
+		{"mpeg2inter", true, 6175.5, false, 4096, 0, 0, 16384, pg.Fingerprint{Hi: 0x1891a1c3714448c3, Lo: 0x2d8978e8b905e41f}},
+		{"fft8", true, 6139.2, false, 4096, 0, 134, 16384, pg.Fingerprint{Hi: 0xc1a81165df892ca3, Lo: 0x18fef46a52d8377b}},
 	}
 	// A positive charge per copy, like core's scheduling-aware
 	// criterion: monotone under Assign, as custom criteria must be.
@@ -345,4 +345,36 @@ func TestSearchIdentityPin(t *testing.T) {
 		}
 		res.Flow.Release()
 	}
+}
+
+// TestStoppedSolveCountsOnlyRunExpansions pins that a stopped solve
+// reports only the expansions that ran: a budget stop reports exactly
+// NodeBudget, and a grace stop granted before the solve starts reports
+// exactly the grace, both on the result and on the Control the
+// portfolio's race-tax meter reads.
+func TestStoppedSolveCountsOnlyRunExpansions(t *testing.T) {
+	d := kernels.Fir2Dim()
+	ws := wsAll(d)
+	const budget = 300
+	res, err := Solve(context.Background(), pg.NewFlow(topo(4, 16, 2), d), ws, Config{NodeBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Proved || res.Expansions != budget {
+		t.Errorf("budget stop: proved %v expansions %d, want unproved at exactly %d", res.Proved, res.Expansions, budget)
+	}
+	res.Flow.Release()
+
+	const grace = 200
+	ctrl := NewControl()
+	ctrl.StopAfter(grace)
+	res, err = Solve(context.Background(), pg.NewFlow(topo(4, 16, 2), d), ws, Config{Control: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Proved || !res.Volatile || res.Expansions != grace || ctrl.Expansions() != grace {
+		t.Errorf("grace stop: proved %v volatile %v expansions %d (control %d), want unproved, volatile, exactly %d",
+			res.Proved, res.Volatile, res.Expansions, ctrl.Expansions(), grace)
+	}
+	res.Flow.Release()
 }

@@ -1,25 +1,25 @@
 // Package par provides the bounded fork-join helpers the compilation flow
-// uses to exploit host parallelism: sibling subproblems of one hierarchy
-// level, the candidate evaluations of one SEE step and the feedback
-// variants are independent, so they fan out across cores — with a global
-// worker budget so that nested fan-outs (subproblems running beam
-// searches running candidate scoring) never oversubscribe the machine.
-// When no budget is available the work runs inline on the caller's
-// goroutine, which also makes the helpers deadlock-free under arbitrary
-// nesting.
+// uses to exploit host parallelism where the paper's decomposition makes
+// work independent: the sibling subproblems of one hierarchy level, the
+// feedback variants and the points of a design-space sweep fan out
+// across cores. One beam search runs on one goroutine. A global worker
+// budget keeps nested fan-outs (a sweep point running subproblems
+// running their children) from oversubscribing the machine. When no
+// budget is available the work runs inline on the caller's goroutine,
+// which also makes the helpers deadlock-free under arbitrary nesting.
 //
 // The budget tracks runtime.GOMAXPROCS at acquire time rather than a
-// boot-time core count: a caller that lowers GOMAXPROCS to 1 (the
-// perfbench serial ablation, a cgroup-limited container) gets a fully
-// inline, goroutine-free execution, and raising it mid-process widens the
-// very next fan-out. The budget is additionally capped at runtime.NumCPU:
+// boot-time core count: a caller that lowers GOMAXPROCS to 1 (a
+// cgroup-limited container, a serial ablation) gets a fully inline,
+// goroutine-free execution, and raising it mid-process widens the very
+// next fan-out. The budget is additionally capped at runtime.NumCPU:
 // Ps beyond the physical core count cannot add throughput, only
 // scheduling overhead and cache traffic, so GOMAXPROCS=4 on a one-core
 // container still runs fully inline (tests that need real worker
 // goroutines regardless of the host pin the width with ForceWidthForTest).
 //
-// Callers keep determinism by writing only to their own index (or chunk)
-// of a pre-sized result slice.
+// Callers keep determinism by writing only to their own index of a
+// pre-sized result slice.
 package par
 
 import (
@@ -72,18 +72,10 @@ func tryAcquire() bool {
 
 func release() { extra.Add(-1) }
 
-// Width returns the maximum useful fan-out of one ForEach call: the
-// extra-worker budget plus the caller's own goroutine, i.e. the current
-// min(GOMAXPROCS, NumCPU) (at least 1). Callers use it to split work
-// into enough items to fill the machine without over-fragmenting (e.g.
-// the SEE's candidate-grid chunking).
-func Width() int { return width() }
-
 // ForceWidthForTest pins the worker width to n regardless of GOMAXPROCS
 // and the core count, and returns a restore func. It exists for
-// concurrency stress tests that must drive real worker goroutines (and
-// the chunk shapes of a wide machine) on hosts with fewer cores than
-// the scenario under test; production code never calls it.
+// tests that must drive real worker goroutines on hosts with fewer
+// cores than the scenario under test; production code never calls it.
 func ForceWidthForTest(n int) (restore func()) {
 	forcedWidth.Store(int32(n))
 	return func() { forcedWidth.Store(0) }
@@ -141,81 +133,6 @@ func ForEachCtx(ctx context.Context, n int, fn func(int)) error {
 			}(i)
 		} else {
 			fn(i)
-		}
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// NumChunks returns how many chunks ForEachChunkedCtx splits n items
-// into under the given minimum chunk size: enough to fill Width()
-// workers, but never more chunks than n/minChunk so no chunk goes below
-// minChunk items (the anti-fragmentation guarantee for tiny n). It is a
-// pure function of (n, minChunk, Width()), so callers that need
-// per-chunk bookkeeping — the SEE's scratch-seeding accounting — can
-// reproduce the exact partition with ChunkBounds.
-func NumChunks(n, minChunk int) int {
-	if n <= 0 {
-		return 0
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	c := n / minChunk
-	if c < 1 {
-		c = 1
-	}
-	if w := Width(); c > w {
-		c = w
-	}
-	return c
-}
-
-// ChunkBounds returns the half-open item range [lo, hi) of chunk i when
-// n items are split into chunks pieces: contiguous, in order, and
-// balanced to within one item.
-func ChunkBounds(n, chunks, i int) (lo, hi int) {
-	return i * n / chunks, (i + 1) * n / chunks
-}
-
-// ForEachChunkedCtx runs fn over a partition of [0, n) into
-// NumChunks(n, minChunk) contiguous ranges, one call per chunk, using
-// spare cores when available and the calling goroutine otherwise. Unlike
-// ForEachCtx it never pays a goroutine (or even a closure dispatch) per
-// item: tiny fan-outs collapse to a single inline fn(0, n) call, and on
-// a GOMAXPROCS=1 process every chunk runs inline on the caller.
-//
-// Cancellation matches ForEachCtx: chunks not yet scheduled when ctx is
-// done are skipped and the non-nil ctx.Err() tells the caller the result
-// slice is incomplete; chunks already started always finish. fn must
-// confine its writes to data owned by its item range.
-func ForEachChunkedCtx(ctx context.Context, n, minChunk int, fn func(lo, hi int)) error {
-	chunks := NumChunks(n, minChunk)
-	if chunks <= 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if chunks == 1 {
-			fn(0, n)
-		}
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < chunks; i++ {
-		if err := ctx.Err(); err != nil {
-			wg.Wait()
-			return err
-		}
-		lo, hi := ChunkBounds(n, chunks, i)
-		if tryAcquire() {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				defer release()
-				fn(lo, hi)
-			}(lo, hi)
-		} else {
-			fn(lo, hi)
 		}
 	}
 	wg.Wait()

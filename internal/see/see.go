@@ -21,10 +21,9 @@
 //     (Figure 6b).
 //
 // Since the delta rewrite the engine is incremental: every candidate
-// cluster of a beam state is evaluated against one pooled scratch flow
-// via Checkpoint → Assign → score → Rollback (the pg mutation journal),
-// and only the ≤ CandWidth survivors that enter the frontier are ever
-// cloned. The pre-rewrite clone-per-candidate engine is retained in
+// cluster of a beam state is evaluated on that state's own flow via
+// Checkpoint → Assign → score → Rollback (the pg mutation journal), and
+// only the survivors that enter the frontier are ever materialized. The pre-rewrite clone-per-candidate engine is retained in
 // reference.go as SolveReference, the equivalence oracle: both engines
 // return byte-identical assignments, scores and Stats.
 package see
@@ -37,7 +36,6 @@ import (
 
 	"repro/internal/ddg"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/pg"
 	"repro/internal/trace"
 )
@@ -231,8 +229,10 @@ type scored struct {
 //
 // Solve is the canonical context-first entry point: the beam search
 // checks ctx between node assignments (the outermost loop of Figure 5),
-// so a cancelled or expired context aborts the exploration within one
-// frontier expansion and returns ctx.Err(). When a trace.Recorder is
+// so a cancelled or expired context aborts the exploration before the
+// next priority-list node and returns ctx.Err(). One Solve runs on the
+// calling goroutine; callers parallelize across independent subproblems
+// instead. When a trace.Recorder is
 // installed in ctx, one span covers the whole search and carries the
 // beam counters (states expanded/pruned per filter, rollbacks, journal
 // depth, pool recycles); with no recorder the added cost is a nil check.
@@ -258,7 +258,7 @@ func Solve(ctx context.Context, start *pg.Flow, ws []graph.NodeID, cfg Config) (
 		// expandFrontier applies both the candidate filter and the node
 		// filter (Figure 5) before materializing, so next is already the
 		// pruned, score-sorted new frontier.
-		next, err := eng.expandFrontier(ctx, frontier, n, &stats)
+		next, err := eng.expandFrontier(frontier, n, &stats)
 		if err != nil {
 			return nil, err
 		}
@@ -282,10 +282,11 @@ func Solve(ctx context.Context, start *pg.Flow, ws []graph.NodeID, cfg Config) (
 }
 
 // engine is the delta evaluator: a pool of reusable flows plus the
-// solve configuration. Flows are seeded from a frontier state with
-// CopyFrom (no allocation after warm-up) and evaluate every candidate
-// cluster through the mutation journal's assign → score → rollback
-// cycle. The same pool recycles retired frontier states, so after a few
+// solve configuration. Every candidate cluster is evaluated on its
+// frontier state's flow through the mutation journal's assign → score →
+// rollback cycle, and each survivor is materialized onto a pooled flow
+// seeded with CopyFrom (no allocation after warm-up). The same pool
+// recycles retired frontier states, so after a few
 // nodes the whole search runs on a fixed set of Flow objects whose map
 // slices and BFS scratch stay warm. The per-node working buffers live
 // on the engine for the same reason.
@@ -294,8 +295,7 @@ type engine struct {
 	k    int // regular clusters (candidate set size)
 	pool flowPool
 
-	// Per-expandFrontier scratch, reused across nodes (Solve is
-	// single-threaded at this level; only evalStates fans out).
+	// Per-expandFrontier scratch, reused across nodes.
 	states    []*pg.Flow
 	rstates   []*pg.Flow
 	direct    []candEval
@@ -303,7 +303,6 @@ type engine struct {
 	routedIdx []int
 	survivors []survivor
 	idx       []int
-	errs      []error
 	// spare is the retired frontier's backing array, adopted after each
 	// expansion so the next materialization can reuse it (ping-pong with
 	// the live frontier slice instead of a per-node allocation).
@@ -316,9 +315,8 @@ type engine struct {
 	// when dedup is disabled.
 	seen map[pg.Fingerprint]int
 
-	// Telemetry tallies, maintained only at the serial points of the
-	// search (never inside the parallel evaluation fan-out) so they cost
-	// a handful of integer adds per beam step and nothing per candidate.
+	// Telemetry tallies, maintained once per beam step rather than per
+	// candidate, so they cost a handful of integer adds per step.
 	// Flushed onto the solve span when a trace recorder is installed.
 	tel telemetry
 }
@@ -326,14 +324,12 @@ type engine struct {
 // telemetry is the engine's per-solve counter block, zeroed when a
 // recycled engine retires.
 type telemetry struct {
-	rollbacks    int64 // journal rollbacks (one per speculative candidate)
-	recycles     int64 // pooled-flow Gets (scratch seeds + materializations)
-	prunedCand   int64 // feasible candidates cut by the candidate filter
-	prunedBeam   int64 // survivors cut by the node filter (Figure 5)
-	dupPruned    int64 // candidates dropped by frontier dedup
-	journalHW    int64 // deepest journal depth observed on retired flows
-	evalChunks   int64 // chunks the eval grids were partitioned into
-	scratchSeeds int64 // partial rows seeded onto scratch flows (chunk-boundary splits)
+	rollbacks  int64 // journal rollbacks (one per speculative candidate)
+	recycles   int64 // pooled-flow Gets (materializations)
+	prunedCand int64 // feasible candidates cut by the candidate filter
+	prunedBeam int64 // survivors cut by the node filter (Figure 5)
+	dupPruned  int64 // candidates dropped by frontier dedup
+	journalHW  int64 // deepest journal depth observed on retired flows
 }
 
 // enginePool recycles retired engines between solves: the hierarchy
@@ -365,7 +361,6 @@ func (e *engine) retire() {
 	clear(e.states[:cap(e.states)])
 	clear(e.rstates[:cap(e.rstates)])
 	clear(e.spare[:cap(e.spare)])
-	clear(e.errs[:cap(e.errs)])
 	e.tel = telemetry{}
 	enginePool.Put(e)
 }
@@ -374,13 +369,11 @@ func (e *engine) retire() {
 // wrong tool here: the GC empties it on every cycle, so a solve under
 // memory pressure keeps re-cloning the flows it just retired — and the
 // clones are themselves garbage that brings the next cycle closer. The
-// engine is single-solve scoped, its peak working set is small (beam
-// width plus the worker fan-out), and every Get has a matching Put, so
-// an explicit LIFO list keeps the set stable for the whole solve. The
-// mutex is uncontended in serial solves and amortized over whole chunks
-// in parallel ones.
+// engine is single-solve scoped and never leaves its goroutine, its
+// peak working set is small (two beam widths), and every Get has a
+// matching Put, so an explicit LIFO list keeps the set stable for the
+// whole solve.
 type flowPool struct {
-	mu   sync.Mutex
 	free []*pg.Flow
 	base *pg.Flow
 }
@@ -388,22 +381,17 @@ type flowPool struct {
 // Get returns a recycled flow, or a clone of the pristine base when the
 // list is empty. Callers must CopyFrom before reading any state.
 func (p *flowPool) Get() *pg.Flow {
-	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
 		p.free = p.free[:n-1]
-		p.mu.Unlock()
 		return f
 	}
-	p.mu.Unlock()
 	return p.base.Clone()
 }
 
 // Put returns a flow to the free list for the next Get to reuse.
 func (p *flowPool) Put(f *pg.Flow) {
-	p.mu.Lock()
 	p.free = append(p.free, f)
-	p.mu.Unlock()
 }
 
 // drain releases the backing arrays of every pooled flow to the pg
@@ -411,13 +399,10 @@ func (p *flowPool) Put(f *pg.Flow) {
 // Called once when the solve retires its engine; flows that escaped
 // the pool (the result) and the borrowed base are not touched.
 func (p *flowPool) drain() {
-	p.mu.Lock()
-	free := p.free
-	p.free, p.base = nil, nil
-	p.mu.Unlock()
-	for _, f := range free {
+	for _, f := range p.free {
 		f.Release()
 	}
+	p.free, p.base = nil, nil
 }
 
 // survivor describes a virtual candidate that passed both filters: the
@@ -443,93 +428,39 @@ type candEval struct {
 	fp    pg.Fingerprint
 }
 
-// evalMinChunk is the minimum number of (state, cluster) grid cells one
-// worker chunk must cover. Each cell is an assign → score → rollback
-// cycle (microseconds); a floor this size keeps the spawn overhead of a
-// chunk well under the work it carries on small frontiers.
-const evalMinChunk = 8
-
 // evalStates scores the node on every regular cluster of every given
-// state under the maxHops routing bound, writing evals[si*k+c]. The
-// flattened (state × cluster) grid — cell si*k+c — is partitioned into
-// contiguous chunks through par.ForEachChunkedCtx: once ctx is
-// cancelled, unscheduled chunks are skipped and the non-nil error tells
-// the caller the eval grid is incomplete and must be discarded —
-// cancellation latency is one chunk, not the frontier width.
-//
-// A chunk walks its cell range row by row. A row (one frontier state)
-// that lies entirely inside the chunk is evaluated in place on the
-// frontier flow itself through the mutation journal — assign, score,
-// rollback — touching no scratch copy at all; chunks partition the grid,
-// so no other worker sees that flow. Only a row split by a chunk
-// boundary (frontier narrower than the machine) seeds a pooled scratch
-// flow with CopyFrom (an allocation-free overwrite) for its partial
-// segment, because concurrent chunks may not mutate the shared frontier
-// flow. Every cell is written by exactly one worker and its value
-// depends only on the (state, cluster) pair, so the grid — and hence the
-// whole search — is deterministic for any chunking.
+// state under the maxHops routing bound, writing evals[si*k+c]. Each
+// state is evaluated in place on its own frontier flow through the
+// mutation journal — assign, score, rollback — so no scratch copy is
+// seeded. A cell's value depends only on its (state, cluster) pair,
+// which makes the grid, and hence the whole search, deterministic.
 //
 //hca:hotpath
-func (e *engine) evalStates(ctx context.Context, states []*pg.Flow, n graph.NodeID, maxHops int, evals []candEval) error {
+func (e *engine) evalStates(states []*pg.Flow, n graph.NodeID, maxHops int, evals []candEval) {
 	k := e.k
-	total := len(states) * k
-	// Every (state, cluster) pair is assigned and rolled back exactly
-	// once; tallied here, serially, instead of inside the fan-out. The
-	// scratch-seed count replays the chunk partition (NumChunks and
-	// ChunkBounds are pure) so the parallel workers never touch the
-	// telemetry.
-	e.tel.rollbacks += int64(total)
-	chunks := par.NumChunks(total, evalMinChunk)
-	e.tel.evalChunks += int64(chunks)
-	for i := 0; i < chunks; i++ {
-		lo, hi := par.ChunkBounds(total, chunks, i)
-		for lo < hi {
-			rowEnd := (lo/k + 1) * k
-			segEnd := min(rowEnd, hi)
-			if lo%k != 0 || segEnd != rowEnd {
-				e.tel.scratchSeeds++
-				e.tel.recycles++
-			}
-			lo = segEnd
-		}
+	// Every (state, cluster) pair is assigned and rolled back exactly once.
+	e.tel.rollbacks += int64(len(states) * k)
+	for si, st := range states {
+		st.SetMaxHops(maxHops)
+		e.evalRow(st, n, evals[si*k:(si+1)*k])
+		st.DropJournal()
+		st.SetMaxHops(0)
 	}
-	return par.ForEachChunkedCtx(ctx, total, evalMinChunk, func(lo, hi int) {
-		for lo < hi {
-			si := lo / k
-			cLo := lo % k
-			rowEnd := (si + 1) * k
-			segEnd := min(rowEnd, hi)
-			if cLo == 0 && segEnd == rowEnd {
-				st := states[si]
-				st.SetMaxHops(maxHops)
-				e.evalRange(st, n, si, 0, k, evals)
-				st.DropJournal()
-				st.SetMaxHops(0)
-			} else {
-				scratch := e.pool.Get()
-				scratch.CopyFrom(states[si])
-				scratch.SetMaxHops(maxHops)
-				e.evalRange(scratch, n, si, cLo, segEnd-si*k, evals)
-				e.pool.Put(scratch)
-			}
-			lo = segEnd
-		}
-	})
 }
 
-// evalRange evaluates clusters [lo,hi) of one state on the given flow
-// via checkpoint → assign → score → rollback, writing evals[si*k+c].
+// evalRow evaluates every cluster of one state on its flow via
+// checkpoint → assign → score → rollback, writing row[c].
 //
 //hca:hotpath
-func (e *engine) evalRange(f *pg.Flow, n graph.NodeID, si, lo, hi int, evals []candEval) {
+func (e *engine) evalRow(f *pg.Flow, n graph.NodeID, row []candEval) {
 	mark := f.Checkpoint()
-	for c := lo; c < hi; c++ {
+	for c := range row {
 		err := f.Assign(n, pg.ClusterID(c))
 		if err == nil {
-			evals[si*e.k+c] = candEval{ok: true, score: score(f, e.cfg.Criteria), fp: f.Fingerprint()}
+			row[c] = candEval{ok: true, score: score(f, e.cfg.Criteria), fp: f.Fingerprint()}
 		}
 		// A failed Assign may have committed partial routes; rollback
-		// restores the seeded state either way.
+		// restores the state either way.
 		f.Rollback(mark)
 	}
 }
@@ -540,7 +471,7 @@ func (e *engine) evalRange(f *pg.Flow, n graph.NodeID, si, lo, hi int, evals []c
 // per-state candidate filter, and materializes only the surviving
 // candidates into real frontier flows, recycling the retired frontier
 // through the pool.
-func (e *engine) expandFrontier(ctx context.Context, frontier []scored, n graph.NodeID, stats *Stats) ([]scored, error) {
+func (e *engine) expandFrontier(frontier []scored, n graph.NodeID, stats *Stats) ([]scored, error) {
 	k, cfg := e.k, e.cfg
 	states := e.states[:0]
 	for i := range frontier {
@@ -564,9 +495,7 @@ func (e *engine) expandFrontier(ctx context.Context, frontier []scored, n graph.
 		}
 	} else {
 		direct = e.evalBuf(&e.direct, len(states)*k)
-		if err := e.evalStates(ctx, states, n, 1, direct); err != nil {
-			return nil, err
-		}
+		e.evalStates(states, n, 1, direct)
 		if !cfg.DisableRouter {
 			for si := range states {
 				found := false
@@ -593,9 +522,7 @@ func (e *engine) expandFrontier(ctx context.Context, frontier []scored, n graph.
 		}
 		e.rstates = rstates
 		routed = e.evalBuf(&e.routed, len(rstates)*k)
-		if err := e.evalStates(ctx, rstates, n, 0, routed); err != nil {
-			return nil, err
-		}
+		e.evalStates(rstates, n, 0, routed)
 	}
 
 	// Per-state accounting and candidate filter, in frontier order.
@@ -733,49 +660,27 @@ func (e *engine) expandFrontier(ctx context.Context, frontier []scored, n graph.
 	e.tel.recycles += int64(len(survivors))
 
 	// Materialize only the survivors: seed a pooled flow from the parent
-	// state and re-apply the winning assignment, in parallel chunks
-	// (deterministic — every worker owns its slots). The output buffer
+	// state and re-apply the winning assignment. The output buffer
 	// ping-pongs with the retired frontier's backing array, so the
 	// steady-state search allocates no per-node frontier slices at all.
 	out := e.spare[:0]
-	if cap(out) < len(survivors) {
-		out = make([]scored, len(survivors))
-	} else {
-		out = out[:len(survivors)]
-	}
-	errs := e.errs[:0]
-	for range survivors {
-		errs = append(errs, nil)
-	}
-	e.errs = errs
-	mErr := par.ForEachChunkedCtx(ctx, len(survivors), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := survivors[i]
-			g := e.pool.Get()
-			g.CopyFrom(states[s.state])
-			g.SetMaxHops(s.hops)
-			if err := g.Assign(n, s.c); err != nil {
-				// Cannot happen: the scratch evaluation of this exact (state,
-				// cluster) pair succeeded and Assign is deterministic.
-				errs[i] = fmt.Errorf("see: materialize instruction %d on cluster %d: %w", n, s.c, pg.DetachError(err))
-				e.pool.Put(g)
-				continue
-			}
-			g.SetMaxHops(0)
-			out[i] = scored{flow: g, score: s.score, mult: s.mult}
-		}
-	})
-	if mErr != nil {
-		return nil, mErr
-	}
-	for _, err := range errs {
-		if err != nil {
+	for _, s := range survivors {
+		g := e.pool.Get()
+		g.CopyFrom(states[s.state])
+		g.SetMaxHops(s.hops)
+		if err := g.Assign(n, s.c); err != nil {
+			// Cannot happen: the evaluation of this exact (state, cluster)
+			// pair succeeded and Assign is deterministic.
+			err = fmt.Errorf("see: materialize instruction %d on cluster %d: %w", n, s.c, pg.DetachError(err))
+			e.pool.Put(g)
 			return nil, err
 		}
+		g.SetMaxHops(0)
+		out = append(out, scored{flow: g, score: s.score, mult: s.mult})
 	}
-	// The old frontier is fully superseded; its flows become tomorrow's
-	// scratch and materialization targets, and its backing array the
-	// target of the next materialization.
+	// The old frontier is fully superseded; its flows become the next
+	// step's materialization targets, and its backing array the target
+	// of the next materialization.
 	for _, st := range states {
 		if hw := int64(st.JournalHighWater()); hw > e.tel.journalHW {
 			e.tel.journalHW = hw
@@ -808,8 +713,6 @@ func (e *engine) flushTelemetry(rec *trace.Recorder, sp *trace.Span, start *pg.F
 	sp.SetInt("pruned_node_filter", e.tel.prunedBeam)
 	sp.SetInt("duplicates_pruned", e.tel.dupPruned)
 	sp.SetInt("journal_high_water", e.tel.journalHW)
-	sp.SetInt("eval_chunks", e.tel.evalChunks)
-	sp.SetInt("scratch_seeds", e.tel.scratchSeeds)
 	rec.Add("see.solves", 1)
 	rec.Add("see.beam_iterations", int64(stats.NodesAssigned))
 	rec.Add("see.states_explored", int64(stats.StatesExplored))
@@ -820,12 +723,10 @@ func (e *engine) flushTelemetry(rec *trace.Recorder, sp *trace.Span, start *pg.F
 	rec.Add("see.pruned_candidate_filter", e.tel.prunedCand)
 	rec.Add("see.pruned_node_filter", e.tel.prunedBeam)
 	rec.Add("see.duplicates_pruned", e.tel.dupPruned)
-	rec.Add("see.eval_chunks", e.tel.evalChunks)
-	rec.Add("see.scratch_seeds", e.tel.scratchSeeds)
 }
 
 // evalBuf resizes *buf to n cleared entries without reallocating once
-// capacity is warm (evalRange only writes successful slots, so stale
+// capacity is warm (evalRow only writes successful slots, so stale
 // entries must be zeroed).
 //
 //hca:hotpath

@@ -2,6 +2,7 @@ package see
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/ddg"
@@ -373,5 +374,76 @@ func TestDefaultCriteriaShape(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing criterion %q", want)
 		}
+	}
+}
+
+// TestDedupFiresOnSymmetricTopology pins that frontier dedup actually
+// triggers where it is designed to: on a homogeneous all-to-all level,
+// the first beam expansions produce permutation twins, and the pruned
+// count must show up in Stats.
+func TestDedupFiresOnSymmetricTopology(t *testing.T) {
+	d := kernels.Fir2Dim()
+	f := pg.NewFlow(level0Topology(8), d)
+	f.MIIRecStatic = d.MIIRec()
+	res, err := Solve(context.Background(), f, wsAll(d), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.DuplicatesPruned == 0 {
+		t.Fatal("expected duplicate pruning on an all-to-all homogeneous topology")
+	}
+	off, err := Solve(context.Background(), f, wsAll(d), Config{DisableDedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Stats.DuplicatesPruned != 0 {
+		t.Fatalf("DisableDedup still pruned %d duplicates", off.Stats.DuplicatesPruned)
+	}
+	if res.Score > off.Score {
+		t.Fatalf("dedup score %v worse than dedup-off score %v", res.Score, off.Score)
+	}
+}
+
+// TestSolveCancelStopsAtNextNode pins the beam engine's cancellation
+// contract: a criterion that cancels ctx on its first call lets the
+// running expansion finish, and Solve returns context.Canceled before
+// it evaluates any candidate of the next priority-list node. The
+// criterion's call count must equal that of a solve whose working set
+// is the first node alone: one expansion's grid.
+func TestSolveCancelStopsAtNextNode(t *testing.T) {
+	d := kernels.Fir2Dim()
+	f := pg.NewFlow(level0Topology(8), d)
+	f.MIIRecStatic = d.MIIRec()
+	order, err := PriorityList(f, wsAll(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	var onCall func()
+	cfg := Config{Criteria: append(DefaultCriteria(), Criterion{Name: "probe", Eval: func(*pg.Flow) float64 {
+		calls++
+		onCall()
+		return 0
+	}})}
+
+	onCall = func() {}
+	first, err := Solve(context.Background(), f, order[:1], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := calls
+	first.Flow.Release()
+	if grid == 0 || grid > f.T.NumRegular() {
+		t.Fatalf("first node evaluated %d candidates, want 1..%d", grid, f.T.NumRegular())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls, onCall = 0, cancel
+	if _, err := Solve(ctx, f, order, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if calls != grid {
+		t.Fatalf("criterion ran %d times after cancelling, want %d (the first node's grid only)", calls, grid)
 	}
 }
