@@ -53,7 +53,8 @@ bench-module:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detector sweep over every package whose flows cross goroutines
-# (exact: portfolio legs share its Control's atomics).
+# (exact: core runs its solves on sibling subproblems in parallel, on
+# flows from the shared pg slabs).
 race:
 	$(GO) test -race ./internal/par/... ./internal/service/... \
 		./internal/service/middleware/... ./internal/store/... \
@@ -61,17 +62,13 @@ race:
 		./internal/trace/... ./internal/core/... ./internal/mapper/... \
 		./internal/dse/... ./internal/exact/...
 
-# Named stress tests under the race detector, run twice each. The
+# A named stress test under the race detector, run twice. The
 # crash-recovery test replays orphaned tmp files, torn records and
 # quarantine-and-heal — the invariant the whole persistence layer hangs
-# off; the portfolio stress runs concurrent portfolio solves with
-# mid-race cancellation, the path where the beam and exact legs'
-# cancel/incumbent protocol could leak goroutines or race on the shared
-# memo. The package-wide sweep only hits these interleavings
+# off. The package-wide sweep only hits these interleavings
 # incidentally.
 race-stress:
 	$(GO) test -race -run TestStoreCrashRecovery -count=2 ./internal/store/
-	$(GO) test -race -run TestPortfolioStress -count=2 ./internal/core/
 
 # Each native fuzz target for 10 s: the recurrence bound against its
 # whole-graph reference search, the SCC partition, and DDG build and

@@ -49,7 +49,7 @@ import (
 
 func main() {
 	var (
-		kernel   = flag.String("kernel", "fir2dim", "kernel name: fir2dim, idcthor, mpeg2inter, h264deblocking")
+		kernel   = flag.String("kernel", "fir2dim", "kernel name: "+strings.Join(kernels.Names(), ", "))
 		synth    = flag.Int("synth", 0, "use a synthetic DDG with this many ops instead of -kernel")
 		srcFile  = flag.String("src", "", "compile a kernel-description file (see internal/lang) instead of -kernel")
 		seed     = flag.Int64("seed", 1, "synthetic workload seed")
@@ -63,7 +63,7 @@ func main() {
 		ports    = flag.Int("ports", 2, "RCP input ports per cluster")
 		beam     = flag.Int("beam", 8, "SEE beam width (node filter)")
 		cand     = flag.Int("cand", 4, "SEE candidate filter width")
-		engine   = flag.String("engine", "see", "subproblem engine: see, exact, or portfolio (beam raced vs exact)")
+		engine   = flag.String("engine", "see", "subproblem engine: see, exact, or portfolio (beam, then exact from the beam's score)")
 		exactBud = flag.Int64("exact-budget", 0, "exact engine node-expansion budget per subproblem (0 = default)")
 		explore  = flag.String("explore", "", `sweep the kernel over a fabric parameter grid instead of one machine, e.g. "n=8,6;m=8,6;k=8,6,4,2" or "type=rcp;neighbors=2,4" (see internal/dse.ParseGrid); prints the per-point results and the MII-vs-cost Pareto front`)
 		schedule = flag.Bool("schedule", false, "also run iterative modulo scheduling")

@@ -180,7 +180,7 @@ func (c *ctl) compile(args []string) int {
 	fs.SetOutput(c.stderr)
 	async := fs.Bool("async", false, "return a job ID immediately instead of waiting")
 	traceIt := fs.Bool("trace", false, "record the compile and embed the telemetry summary")
-	engine := fs.String("engine", "", "subproblem engine: see, exact, or portfolio (overrides the body's options.engine)")
+	engine := fs.String("engine", "", "subproblem engine: see, exact, or portfolio (beam, then exact from the beam's score); overrides the body's options.engine")
 	file := fs.String("f", "", "read the request body from this file")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -77,7 +77,7 @@ func main() {
 		jobTTL  = flag.Duration("job-ttl", 0, "evict terminal jobs this long after finishing (0 = keep until -max-jobs prunes)")
 		maxJobs = flag.Int("max-jobs", 1024, "terminal-job history bound (also the job journal's replay bound)")
 		maxBody = flag.Int64("max-body", 1<<20, "max HTTP request body bytes")
-		defEng  = flag.String("default-engine", "", "engine for requests that leave options.engine unset: see, exact, portfolio (empty = see)")
+		defEng  = flag.String("default-engine", "", "engine for requests that leave options.engine unset: see, exact, or portfolio (beam, then exact from the beam's score); empty = see")
 		node    = flag.String("node", "", "job-ID namespace (default: derived from -self in fleet mode)")
 
 		rate        = flag.Float64("rate", 0, "per-client sustained requests/sec (0 = no rate limit)")

@@ -17,10 +17,10 @@
 //     the same data dir (every entry served from the warmed store);
 //   - the engine-portfolio section: end-to-end HCA per Table-1 kernel
 //     under each registered engine (beam, budgeted exact B&B, and the
-//     portfolio that races them per subproblem), recording wall time,
-//     solution quality (final MII, receives), the exact engine's
-//     optimality certificates, and the portfolio's race overhead over
-//     the faster single engine;
+//     portfolio that runs the beam and then exact from its score per
+//     subproblem), recording wall time, solution quality (final MII,
+//     receives), the exact engine's optimality certificates, and the
+//     portfolio's overhead over the faster single engine;
 //   - the design-space exploration section: the 16-point h264deblocking
 //     capacity sweep with the cross-configuration shared memo versus
 //     the same sweep with per-point memos and versus S independent cold
@@ -136,7 +136,7 @@ type Report struct {
 	// same data dir.
 	ServiceBatch ServiceBatch `json:"service_batch"`
 	// EnginePortfolio compares the registered engines end to end per
-	// Table-1 kernel: beam vs budgeted exact B&B vs the portfolio race.
+	// Table-1 kernel: beam vs budgeted exact B&B vs the portfolio.
 	EnginePortfolio EnginePortfolio `json:"engine_portfolio"`
 	// DSESweep is the design-space exploration section: one grid sweep
 	// with the cross-configuration shared memo vs the same sweep with
@@ -163,8 +163,8 @@ type EngineRun struct {
 
 // EngineKernel is one kernel's three-way engine comparison.
 // PortfolioOverBest is the portfolio's wall time over the faster single
-// engine — the race-overhead figure (cancelling the losing leg should
-// keep it near 1.0; the acceptance line is ≤1.2 on h264deblocking).
+// engine — the cost of its exact step, whose node budget is sized from
+// the beam's own work.
 // Where the exact engine exhausts its node budget before proving a
 // subproblem, proved < subproblems and no gap is recorded — the true
 // beam-vs-optimal gap on full kernels is then open, which this section
@@ -190,8 +190,8 @@ type PrefixGap struct {
 }
 
 // EnginePortfolio is the engine comparison section. ExactNodeBudget is
-// the per-subproblem B&B node budget both the solo exact runs and the
-// portfolio's exact legs were given (full kernels are far beyond what
+// the per-subproblem B&B node budget of the solo exact runs, and the
+// cap on the portfolio's exact steps (full kernels are far beyond what
 // an unbudgeted exhaustive search could finish). KernelPrefixGaps
 // documents the true, proved beam gap per kernel on the prefix family.
 type EnginePortfolio struct {
@@ -576,7 +576,7 @@ func main() {
 		Note: "delta-based SEE vs clone-per-candidate baseline; " +
 			"frontier dedup + subproblem memo vs both disabled; " +
 			"pre-rewrite Table-1 figures recorded at the pre-delta commit; " +
-			"engine portfolio: beam vs budgeted exact B&B vs the per-subproblem race; " +
+			"engine portfolio: beam vs budgeted exact B&B vs beam-then-exact per subproblem; " +
 			"dse sweep: shared cross-configuration memo vs per-point memos vs S cold solves",
 		Provenance: provenance(*gitSHA),
 	}

@@ -1,15 +1,14 @@
-// Package memodisc enforces the engine/memo discipline introduced with
-// the portfolio racer:
+// Package memodisc enforces the engine/memo discipline:
 //
 //  1. Every core.AttemptKey composite literal must set Engine — in the
 //     literal itself or by an unconditional `k.Engine = ...` before the
 //     key is used. Attempts solved by different engines are different
 //     subproblems; an engine-less key lets a beam result satisfy an
 //     exact lookup (or vice versa), silently contaminating the memo.
-//  2. A function that Completes a subproblem memo entry must also
-//     reference the volatile marker and be able to Abandon: portfolio
-//     race results are volatile (the loser was cancelled, budgets were
-//     split) and must never flow into a memo Put/Complete.
+//  2. A function that Completes a subproblem memo entry must also be
+//     able to Abandon it: a cancelled attempt's result is not the
+//     subproblem's answer, and without an Abandon path it could only be
+//     published or leave its waiters blocked.
 //  3. Every field of the service OptionsSpec must appear in the
 //     cacheKey fingerprint: a request knob that does not reach the
 //     fingerprint makes cached responses collide across requests that
@@ -32,7 +31,7 @@ const (
 // Analyzer enforces memo/engine discipline.
 var Analyzer = &analysis.Analyzer{
 	Name: "memodisc",
-	Doc:  "AttemptKey constructions must set Engine, memo Complete callers must guard volatile race results, and every OptionsSpec field must reach cacheKey",
+	Doc:  "AttemptKey constructions must set Engine, memo Complete callers must have an Abandon path, and every OptionsSpec field must reach cacheKey",
 	Run:  run,
 }
 
@@ -259,7 +258,7 @@ func declaresObj(info *types.Info, obj types.Object, s *ast.DeclStmt) bool {
 	return false
 }
 
-// --- rule 2: Complete callers guard volatile results ---
+// --- rule 2: Complete callers can Abandon ---
 
 // memoTypes are the receiver type names whose Complete/Abandon calls
 // carry the memo protocol.
@@ -276,10 +275,9 @@ func isMemoMethod(info *types.Info, call *ast.CallExpr, method string) bool {
 }
 
 // checkCompleteGuard requires every function that calls Complete on a
-// memo to (a) reference the volatile marker and (b) call Abandon on
-// some path. soloAttempt is the shape: volatile outcomes (cancelled
-// race losers, partial budgets) are Abandoned so waiters retry, and
-// only durable results Complete.
+// memo to call Abandon on some path. solveAttempt is the shape: a
+// cancelled attempt is Abandoned so waiters retry, and only finished
+// results Complete.
 func checkCompleteGuard(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if fd.Recv != nil {
 		// Methods on the memo types themselves implement the protocol;
@@ -294,30 +292,22 @@ func checkCompleteGuard(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 	var completes []*ast.CallExpr
 	hasAbandon := false
-	hasVolatile := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isMemoMethod(pass.Info, n, "Complete") {
-				completes = append(completes, n)
+		if call, ok := n.(*ast.CallExpr); ok {
+			if isMemoMethod(pass.Info, call, "Complete") {
+				completes = append(completes, call)
 			}
-			if isMemoMethod(pass.Info, n, "Abandon") {
+			if isMemoMethod(pass.Info, call, "Abandon") {
 				hasAbandon = true
-			}
-		case *ast.SelectorExpr:
-			if n.Sel.Name == "volatile" || n.Sel.Name == "Volatile" {
-				hasVolatile = true
 			}
 		}
 		return true
 	})
+	if hasAbandon {
+		return
+	}
 	for _, call := range completes {
-		switch {
-		case !hasVolatile:
-			pass.Reportf(call.Pos(), "memo Complete without checking the volatile marker; portfolio race results must be Abandoned, not cached")
-		case !hasAbandon:
-			pass.Reportf(call.Pos(), "memo Complete without an Abandon path; volatile results have no way out of the protocol")
-		}
+		pass.Reportf(call.Pos(), "memo Complete without an Abandon path; a cancelled attempt has no way out of the protocol")
 	}
 }
 

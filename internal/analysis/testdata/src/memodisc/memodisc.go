@@ -68,28 +68,24 @@ func engineSetOnAllPaths(memo core.SubproblemMemo, ddg uint64, exact bool) {
 }
 
 func copiesInheritEngine(base core.AttemptKey) (core.AttemptKey, core.AttemptKey) {
-	// The raceAttempt idiom: copies of a settled key re-discriminate.
+	// Copies of a settled key re-discriminate.
 	kSee, kExact := base, base
 	kSee.Engine = engineSee
 	kExact.Engine = engineExact
 	return kSee, kExact
 }
 
-// --- rule 2: Complete callers must guard volatile results ---
+// --- rule 2: Complete callers must have an Abandon path ---
 
-func completeWithoutVolatileGuard(memo core.SubproblemMemo, k core.AttemptKey, e *core.AttemptEntry) {
-	memo.Complete(k, e) // want `memo Complete without checking the volatile marker`
-}
-
-func completeWithoutAbandon(memo core.SubproblemMemo, k core.AttemptKey, e *core.AttemptEntry) {
-	if e.Volatile {
+func completeWithoutAbandon(memo core.SubproblemMemo, k core.AttemptKey, e *core.AttemptEntry, cancelled bool) {
+	if cancelled {
 		return
 	}
 	memo.Complete(k, e) // want `memo Complete without an Abandon path`
 }
 
-func completeWithFullProtocol(memo core.SubproblemMemo, k core.AttemptKey, e *core.AttemptEntry) {
-	if e.Volatile {
+func completeWithFullProtocol(memo core.SubproblemMemo, k core.AttemptKey, e *core.AttemptEntry, cancelled bool) {
+	if cancelled {
 		memo.Abandon(k, e)
 		return
 	}

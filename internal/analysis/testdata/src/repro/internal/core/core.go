@@ -18,8 +18,7 @@ type AttemptKey struct {
 
 // AttemptEntry mirrors the memo slot.
 type AttemptEntry struct {
-	Volatile bool
-	Score    int
+	Score int
 }
 
 // SubproblemMemo mirrors the acquire/complete/abandon protocol.

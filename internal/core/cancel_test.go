@@ -15,15 +15,19 @@ import (
 )
 
 // A context that is already cancelled must abort the run before any
-// subproblem is solved.
+// work starts: no span reaches the recorder.
 func TestHCAContextPreCancelled(t *testing.T) {
 	d := kernels.Synthetic(kernels.SynthConfig{Ops: 64, Seed: 1, RecLatency: 3})
 	mc := machine.DSPFabric64(8, 8, 8)
-	ctx, cancel := context.WithCancel(context.Background())
+	rec := trace.New()
+	ctx, cancel := context.WithCancel(trace.With(context.Background(), rec))
 	cancel()
 	_, err := HCA(ctx, d, mc, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if phases := rec.Summary().Phases; len(phases) != 0 {
+		t.Errorf("a pre-cancelled compile recorded %d span phases, want none: %+v", len(phases), phases)
 	}
 }
 

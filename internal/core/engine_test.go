@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/ddg"
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -157,34 +155,52 @@ func TestExactSyntheticCorpusGap(t *testing.T) {
 	}
 }
 
-// The portfolio must never return a worse score than either engine run
-// alone on the same subproblem.
+// The portfolio must never return a worse score than the beam alone on
+// the same subproblem, and where it reports Proved, its score must be
+// exact alone's proved optimum. It is not held to exact alone's score:
+// its exact step runs on a budget sized from the beam's work (the
+// 128-expansion floor here), which proves none of the whole 16-op
+// synthetic instances. The named kernels' 10-instruction prefixes
+// include instances it proves, so the Proved clause is exercised.
 func TestPortfolioNeverWorseEngineLevel(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		d := kernels.Synthetic(kernels.SynthConfig{Ops: 16, Seed: 200 + seed, RecLatency: 2})
-		f := pg.NewFlow(engineTopo(4, 4, 8), d)
-		f.MIIRecStatic = d.MIIRec()
-		ws := engineWS(d.Len())
+	type instance struct {
+		label string
+		d     *ddg.DDG
+		n     int // working-set prefix length
+	}
+	var cases []instance
+	for seed := int64(200); seed < 208; seed++ {
+		d := kernels.Synthetic(kernels.SynthConfig{Ops: 16, Seed: seed, RecLatency: 2})
+		cases = append(cases, instance{fmt.Sprintf("synthetic seed %d", seed), d, d.Len()})
+	}
+	for _, k := range append(kernels.All(), kernels.Extras()...) {
+		cases = append(cases, instance{k.Name + " prefix", k.Build(), 10})
+	}
+	proofs := 0
+	for _, c := range cases {
+		f := pg.NewFlow(engineTopo(4, 4, 8), c.d)
+		f.MIIRecStatic = c.d.MIIRec()
+		ws := engineWS(c.n) // construction order is topological: a prefix is dependency-closed
 		beam, berr := solveWith(t, "see", f, ws)
 		ex, xerr := solveWith(t, "exact", f, ws)
 		port, perr := solveWith(t, "portfolio", f, ws)
 		if perr != nil {
 			if berr == nil || xerr == nil {
-				t.Fatalf("seed %d: portfolio failed (%v) though a single engine succeeded", seed, perr)
+				t.Fatalf("%s: portfolio failed (%v) though a single engine succeeded", c.label, perr)
 			}
 			continue
 		}
 		if port.Flow == nil {
-			t.Fatalf("seed %d: portfolio returned no flow", seed)
+			t.Fatalf("%s: portfolio returned no flow", c.label)
 		}
 		if berr == nil && port.Score > beam.Score {
-			t.Errorf("seed %d: portfolio %v worse than beam alone %v", seed, port.Score, beam.Score)
+			t.Errorf("%s: portfolio %v worse than beam alone %v", c.label, port.Score, beam.Score)
 		}
-		if xerr == nil && port.Score > ex.Score {
-			t.Errorf("seed %d: portfolio %v worse than exact alone %v", seed, port.Score, ex.Score)
-		}
-		if !port.Volatile {
-			t.Errorf("seed %d: race result not marked volatile", seed)
+		if port.Proved {
+			proofs++
+			if xerr != nil || !ex.Proved || port.Score != ex.Score {
+				t.Errorf("%s: portfolio proved %v, exact alone %v (proved %v, err %v)", c.label, port.Score, ex.Score, xerr == nil && ex.Proved, xerr)
+			}
 		}
 		if berr == nil {
 			beam.Flow.Release()
@@ -193,6 +209,9 @@ func TestPortfolioNeverWorseEngineLevel(t *testing.T) {
 			ex.Flow.Release()
 		}
 		port.Flow.Release()
+	}
+	if proofs == 0 {
+		t.Error("the portfolio proved no instance: the Proved clause checked nothing")
 	}
 }
 
@@ -288,70 +307,5 @@ func TestMemoNoCrossEngineReplay(t *testing.T) {
 	if fresh.MII != poisoned.MII || fresh.Recvs != poisoned.Recvs {
 		t.Errorf("strict-mode result drifted: MII %+v vs %+v, recvs %d vs %d",
 			fresh.MII, poisoned.MII, fresh.Recvs, poisoned.Recvs)
-	}
-}
-
-// Cancellation leak check: racing legs must be fully drained on every
-// path — early exact win, beam win, and caller cancellation — leaving
-// no goroutine behind. Run under -race in make race.
-func TestPortfolioStress(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d := kernels.Synthetic(kernels.SynthConfig{Ops: 16, Seed: int64(300 + i), RecLatency: 2})
-			f := pg.NewFlow(engineTopo(4, 4, 8), d)
-			f.MIIRecStatic = d.MIIRec()
-			ctx, cancel := context.WithCancel(context.Background())
-			if i%3 == 0 {
-				// A third of the runs are cancelled mid-race.
-				go func() {
-					time.Sleep(time.Duration(i) * 100 * time.Microsecond)
-					cancel()
-				}()
-			}
-			defer cancel()
-			eng, err := EngineByName("portfolio")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			res, err := eng.Solve(ctx, f, engineWS(d.Len()), see.Config{})
-			if err == nil && res.Flow != nil {
-				res.Flow.Release()
-			}
-		}(i)
-	}
-	wg.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines leaked across portfolio races: %d before, %d after", before, after)
-	}
-}
-
-// A losing portfolio leg whose flow its memo entry holds (a fresh
-// leader result) must not go back to the pg slabs: later memo hits
-// clone that flow.
-func TestPickLegKeepsMemoHeldFlow(t *testing.T) {
-	d := kernels.Fir2Dim()
-	tp := pg.NewTopology("t", 2, 16, 4, 0)
-	tp.AllToAll()
-	held := pg.NewFlow(tp, d)
-	entry := &MemoEntry{flow: held}
-	seeLeg := legResult{out: attemptOutcome{flow: held, score: 2}, entry: entry}
-	exLeg := legResult{out: attemptOutcome{flow: pg.NewFlow(tp, d), score: 1}}
-	if win := pickLeg(seeLeg, exLeg); win.out.score != 1 {
-		t.Fatalf("picked score %v, want the exact leg's 1", win.out.score)
-	}
-	if held.T == nil {
-		t.Fatal("the losing beam leg's memo-held flow was released")
-	}
-	if c := entry.outcome().flow; c.T != tp {
-		t.Fatal("memo hit after the race does not clone the held flow")
 	}
 }

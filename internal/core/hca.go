@@ -62,8 +62,9 @@ type Options struct {
 	DisableMemo bool
 	// Engine selects the per-subproblem solver: "see" (the default beam
 	// search; "" means the same), "exact" (branch-and-bound, proving
-	// optimality within its node budget), or "portfolio" (both raced per
-	// subproblem, first valid finisher wins). See EngineNames.
+	// optimality within its node budget), or "portfolio" (the beam, then
+	// exact from the beam's score on small subproblems; the better flow
+	// wins). See EngineNames.
 	Engine string
 	// ExactBudget caps the exact engine's node expansions per attempt;
 	// <= 0 selects exact.DefaultNodeBudget. Ignored by the beam engine.
@@ -261,7 +262,14 @@ func (r *Result) noteWin(engine string, proved bool, score, bound float64) {
 // a min-cut partition (Chu-style, §6), one pure beam search — and the
 // better whole-hierarchy result (smaller all-levels MII, then fewer
 // receive primitives) is returned. DisableSeeding skips the first.
+//
+// None of the whole-DDG steps before the descent (validation,
+// criticality analysis, fingerprint, the two MII bounds) polls ctx, so
+// HCA checks it on entry and between them.
 func HCA(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt Options) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("hca: %w", err)
 	}
@@ -270,6 +278,9 @@ func HCA(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt Options) (*Res
 	}
 	if err := mc.Validate(); err != nil {
 		return nil, fmt.Errorf("hca: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	ctx, sp := trace.Start(ctx, "hca")
 	defer sp.End()
@@ -294,11 +305,23 @@ func HCA(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt Options) (*Res
 		opt.Memo = NewMemo(0) // per-run, shared by both passes below
 	}
 	if opt.Memo != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		opt.ddgFP = d.Fingerprint()
 	}
-	pure, perr := hcaOnce(ctx, d, mc, opt, false)
-	if !opt.DisableSeeding {
-		seeded, serr := hcaOnce(ctx, d, mc, opt, true)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// The static bounds are the same for both passes: compute them once.
+	mii := MII{Rec: d.MIIRec()}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	mii.Res = d.MIIRes(ddg.Resources{IssueSlots: mc.TotalCNs(), DMAPorts: mc.DMAPorts})
+	pure, perr := hcaOnce(ctx, d, mc, opt, mii, false)
+	if !opt.DisableSeeding && ctx.Err() == nil {
+		seeded, serr := hcaOnce(ctx, d, mc, opt, mii, true)
 		switch {
 		case serr == nil && perr != nil:
 			sp.SetStr("winner", "seeded")
@@ -325,7 +348,9 @@ func betterResult(a, b *Result) bool {
 	return a.MII.Final < b.MII.Final
 }
 
-func hcaOnce(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt Options, useSeed bool) (*Result, error) {
+// hcaOnce runs one complete descent; mii carries the static Rec and Res
+// bounds HCA computed once for both passes.
+func hcaOnce(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt Options, mii MII, useSeed bool) (*Result, error) {
 	opt.useSeed = useSeed
 	name := "hca.pure"
 	if useSeed {
@@ -339,12 +364,11 @@ func hcaOnce(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt Options, u
 		CN:      make([]int, d.Len()),
 		Remat:   !opt.DisableRematerialization,
 		Engine:  opt.EngineName(),
+		MII:     mii,
 	}
 	for i := range res.CN {
 		res.CN[i] = -1
 	}
-	res.MII.Rec = d.MIIRec()
-	res.MII.Res = d.MIIRes(ddg.Resources{IssueSlots: mc.TotalCNs(), DMAPorts: mc.DMAPorts})
 
 	ws := make([]graph.NodeID, d.Len())
 	for i := range ws {
@@ -541,7 +565,7 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 		if opt.Memo != nil {
 			key = attemptKeyFor(opt, start, ws, cfg, rung, ring)
 		}
-		out, entry := solveAttempt(ctx, opt, key, start, ws, cfg)
+		out, entry := solveAttempt(ctx, opt.Memo, key, opt.engine(), start, ws, cfg)
 		if ring {
 			// The ring-reserved start clone is consumed by the attempt
 			// (results are materialized copies, and the memo retains

@@ -192,27 +192,6 @@ func TestLevelParams(t *testing.T) {
 	}
 }
 
-func TestHCADeterministic(t *testing.T) {
-	d := kernels.IDCTHor()
-	mc := machine.DSPFabric64(8, 8, 8)
-	a, err := HCA(context.Background(), d, mc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := HCA(context.Background(), kernels.IDCTHor(), mc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.CN {
-		if a.CN[i] != b.CN[i] {
-			t.Fatalf("nondeterministic CN assignment at node %d", i)
-		}
-	}
-	if a.MII.Final != b.MII.Final {
-		t.Fatal("nondeterministic MII")
-	}
-}
-
 func TestHCAFinalDDGExecutes(t *testing.T) {
 	// The post-processed DDG (with receive primitives) must still compute
 	// the kernel: interpret both and compare memory.

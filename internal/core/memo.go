@@ -62,16 +62,16 @@ type AttemptKey struct {
 	// Flags packs the kf* option bits.
 	Flags uint8
 	// Engine discriminates which engine computed the attempt (engineSee,
-	// engineExact; the portfolio never keys entries under its own ID —
-	// its legs use theirs). Different engines explore the same subproblem
-	// differently, so one engine's cached result must never replay into
-	// another engine's attempt: most acutely, an exact result computed
-	// under relaxed options must not corrupt a strict-mode beam solve's
-	// byte-for-byte equivalence with the reference engine.
+	// engineExact, enginePortfolio). Different engines explore the same
+	// subproblem differently, so one engine's cached result must never
+	// replay into another engine's attempt: most acutely, an exact result
+	// computed under relaxed options must not corrupt a strict-mode beam
+	// solve's byte-for-byte equivalence with the reference engine.
 	Engine uint8
-	// Budget is the exact engine's effective node budget (0 for the beam
-	// engine): a proof under a small budget and one under a large budget
-	// are different computations with possibly different incumbents.
+	// Budget is the effective exact node budget of the exact and
+	// portfolio engines (0 for the beam engine): a proof under a small
+	// budget and one under a large budget are different computations
+	// with possibly different incumbents.
 	Budget int64
 }
 
@@ -193,8 +193,7 @@ type MemoStats struct {
 	Entries   int   `json:"entries"`
 	Evictions int64 `json:"evictions"`
 	// ByEngine breaks the hit/miss totals down by the engine that keyed
-	// the attempt ("see"/"exact"; the portfolio's legs observe under
-	// their own engines, so "portfolio" never appears). Engines with no
+	// the attempt ("see", "exact" or "portfolio"). Engines with no
 	// traffic are omitted.
 	ByEngine map[string]EngineMemoStats `json:"by_engine,omitempty"`
 }
@@ -355,10 +354,6 @@ type attemptOutcome struct {
 	// is a true lower bound over the subproblem's assignment space.
 	proved bool
 	bound  float64
-	// volatile marks a result that depended on cross-engine racing
-	// (injected incumbent, grace stop): reproducible only by rerunning
-	// the race, so it must never enter content-addressed caches.
-	volatile bool
 }
 
 // attemptKeyFor derives the content address of one ladder attempt. The
@@ -395,7 +390,7 @@ func attemptKeyFor(opt Options, start *pg.Flow, ws []graph.NodeID, cfg see.Confi
 		k.Flags |= kfRing
 	}
 	k.Engine = opt.engineID()
-	if k.Engine == engineExact {
+	if k.Engine != engineSee {
 		k.Budget = exact.EffectiveBudget(opt.ExactBudget)
 	}
 	return k
@@ -425,13 +420,7 @@ func runAttempt(ctx context.Context, eng Engine, start *pg.Flow, ws []graph.Node
 	}
 	out := attemptOutcome{
 		flow: res.Flow, stats: res.Stats, score: res.Score,
-		proved: res.Proved, bound: res.Bound, volatile: res.Volatile,
-		engine: res.Winner,
-	}
-	if out.flow == nil {
-		// An exact leg that only certified an externally injected
-		// incumbent has no flow of its own to route.
-		return out
+		proved: res.Proved, bound: res.Bound, engine: res.Winner,
 	}
 	for _, o := range start.T.OutputNodes() {
 		for _, v := range start.T.Cluster(o).Carries {
@@ -447,59 +436,42 @@ func runAttempt(ctx context.Context, eng Engine, start *pg.Flow, ws []graph.Node
 	return out
 }
 
-// solveAttempt runs one retry-ladder attempt through the configured
-// engine, dispatching portfolio mode to its memo-aware race (each leg
-// memoized under its own engine-discriminated key).
-func solveAttempt(ctx context.Context, opt Options, key AttemptKey, start *pg.Flow, ws []graph.NodeID, cfg see.Config) (attemptOutcome, *MemoEntry) {
-	eng := opt.engine()
-	if p, ok := eng.(*portfolioEngine); ok {
-		return p.raceAttempt(ctx, opt.Memo, key, start, ws, cfg)
-	}
-	out, e, _ := soloAttempt(ctx, opt.Memo, key, eng, start, ws, cfg)
-	return out, e
-}
-
-// soloAttempt is runAttempt behind the memo: a verified hit returns the
+// solveAttempt is runAttempt behind the memo: a verified hit returns the
 // cached solution (cloned) without re-running the engine; a miss
-// computes, publishes and returns. Cancelled computations and volatile
-// results (race-dependent, non-reproducible) are abandoned, never
-// cached. The returned entry (nil without a memo or on the fail-safe
-// path) lets the caller reuse or attach the mapper result. fresh
-// reports that the engine actually ran here — false only on a verified
-// memo hit — so the portfolio's race-tax meter can count real work and
-// ignore replays.
-func soloAttempt(ctx context.Context, memo SubproblemMemo, key AttemptKey, eng Engine, start *pg.Flow, ws []graph.NodeID, cfg see.Config) (out attemptOutcome, entry *MemoEntry, fresh bool) {
+// computes, publishes and returns. A cancelled computation is
+// abandoned, never cached. The returned entry (nil without a memo or on
+// the fail-safe path) lets the caller reuse or attach the mapper result.
+func solveAttempt(ctx context.Context, memo SubproblemMemo, key AttemptKey, eng Engine, start *pg.Flow, ws []graph.NodeID, cfg see.Config) (attemptOutcome, *MemoEntry) {
 	if memo == nil {
-		return runAttempt(ctx, eng, start, ws, cfg), nil, true
+		return runAttempt(ctx, eng, start, ws, cfg), nil
 	}
 	e, leader, err := memo.Acquire(ctx, key)
 	if err != nil {
-		return attemptOutcome{err: err}, nil, false
+		return attemptOutcome{err: err}, nil
 	}
 	if leader {
 		memo.Observe(false, key.Engine)
 		traceMemo(ctx, "memo.miss", "memo.misses", key)
 		out := runAttempt(ctx, eng, start, ws, cfg)
-		if (out.err != nil && ctx.Err() != nil) || out.volatile || (out.err == nil && out.flow == nil) {
-			// Cancelled, race-dependent, or flow-less (incumbent-only
-			// certificates): not reproducible content — never cached.
+		if out.err != nil && ctx.Err() != nil {
+			// Cancelled: not the subproblem's answer, so never cached.
 			memo.Abandon(key, e)
-			return out, nil, true
+			return out, nil
 		}
 		e.fill(out, start.T, ws)
 		memo.Complete(key, e)
-		return out, e, true
+		return out, e
 	}
 	if e.ok && e.matches(start.T, ws) {
 		memo.Observe(true, key.Engine)
 		traceMemo(ctx, "memo.hit", "memo.hits", key)
-		return e.outcome(), e, false
+		return e.outcome(), e
 	}
 	// Abandoned leader, or a 128-bit key collision the full compare
 	// caught: fail safe with a local solve and leave the cache alone.
 	memo.Observe(false, key.Engine)
 	traceMemo(ctx, "memo.miss", "memo.misses", key)
-	return runAttempt(ctx, eng, start, ws, cfg), nil, true
+	return runAttempt(ctx, eng, start, ws, cfg), nil
 }
 
 func traceMemo(ctx context.Context, what, counter string, k AttemptKey) {

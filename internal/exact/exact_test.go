@@ -118,9 +118,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			if res.Bound != res.Score {
 				t.Errorf("%s: proved bound %v != score %v", label, res.Bound, res.Score)
 			}
-			if res.Volatile {
-				t.Errorf("%s: standalone solve marked volatile", label)
-			}
 			if err := res.Flow.Verify(); err != nil {
 				t.Errorf("%s: result fails Verify: %v", label, err)
 			}
@@ -217,26 +214,9 @@ func TestSolveBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestControlGraceStop(t *testing.T) {
-	d := tinyDDG(t, 4, 12)
-	f := pg.NewFlow(topo(4, 2, 4), d)
-	ctrl := NewControl()
-	ctrl.StopAfter(5)
-	res, err := Solve(context.Background(), f, wsAll(d), Config{Control: ctrl})
-	if err != nil {
-		return // stopped before any complete assignment: also a valid outcome
-	}
-	if res.Proved {
-		t.Error("proved under a 5-expansion grace stop")
-	}
-	if !res.Volatile {
-		t.Error("grace-stopped result not marked volatile")
-	}
-	if res.Flow != nil {
-		res.Flow.Release()
-	}
-}
-
+// An incumbent that is the proved optimum leaves nothing strictly
+// better: the solver proves the caller's solution optimal and returns no
+// flow. One unit above the optimum, it finds and returns the optimum.
 func TestControlIncumbentProvesCallerOptimal(t *testing.T) {
 	d := tinyDDG(t, 5, 9)
 	f := pg.NewFlow(topo(3, 2, 4), d)
@@ -248,37 +228,24 @@ func TestControlIncumbentProvesCallerOptimal(t *testing.T) {
 	}
 	opt := ref.Score
 	ref.Flow.Release()
-	// Re-solve with the optimum pre-injected: nothing strictly better
-	// exists, so the solver proves the caller's incumbent unbeatable.
-	ctrl := NewControl()
-	ctrl.PublishIncumbent(opt)
-	res, err := Solve(context.Background(), f, ws, Config{Control: ctrl})
+	res, err := Solve(context.Background(), f, ws, Config{Incumbent: &opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Proved || res.Flow != nil || res.Bound != opt {
-		t.Errorf("injected-optimum solve: proved %v flow %v bound %v (want proved, nil, %v)",
-			res.Proved, res.Flow != nil, res.Bound, opt)
+	if !res.Proved || res.Flow != nil || res.Score != opt || res.Bound != opt {
+		t.Errorf("optimum as incumbent: proved %v flow %v score %v bound %v (want proved, nil, %v, %v)",
+			res.Proved, res.Flow != nil, res.Score, res.Bound, opt, opt)
 	}
-	if !res.Volatile {
-		t.Error("incumbent-dependent result not marked volatile")
+	above := opt + 1
+	res, err = Solve(context.Background(), f, ws, Config{Incumbent: &above})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPublishIncumbentMonotone(t *testing.T) {
-	c := NewControl()
-	if got := c.Incumbent(); !math.IsInf(got, 1) {
-		t.Fatalf("fresh incumbent = %v", got)
+	if !res.Proved || res.Flow == nil || res.Score != opt {
+		t.Fatalf("beatable incumbent: proved %v flow %v score %v (want proved, a flow, %v)",
+			res.Proved, res.Flow != nil, res.Score, opt)
 	}
-	c.PublishIncumbent(10)
-	c.PublishIncumbent(20) // must not raise
-	if got := c.Incumbent(); got != 10 {
-		t.Errorf("incumbent = %v, want 10", got)
-	}
-	c.PublishIncumbent(5)
-	if got := c.Incumbent(); got != 5 {
-		t.Errorf("incumbent = %v, want 5", got)
-	}
+	res.Flow.Release()
 }
 
 // TestSearchIdentityPin pins the search itself, not just its optimum:
@@ -349,9 +316,8 @@ func TestSearchIdentityPin(t *testing.T) {
 
 // TestStoppedSolveCountsOnlyRunExpansions pins that a stopped solve
 // reports only the expansions that ran: a budget stop reports exactly
-// NodeBudget, and a grace stop granted before the solve starts reports
-// exactly the grace, both on the result and on the Control the
-// portfolio's race-tax meter reads.
+// NodeBudget, with or without an incumbent, and under an incumbent the
+// stopped solve returns either a strictly better flow or none.
 func TestStoppedSolveCountsOnlyRunExpansions(t *testing.T) {
 	d := kernels.Fir2Dim()
 	ws := wsAll(d)
@@ -363,18 +329,24 @@ func TestStoppedSolveCountsOnlyRunExpansions(t *testing.T) {
 	if res.Proved || res.Expansions != budget {
 		t.Errorf("budget stop: proved %v expansions %d, want unproved at exactly %d", res.Proved, res.Expansions, budget)
 	}
+	inc := res.Score
 	res.Flow.Release()
 
-	const grace = 200
-	ctrl := NewControl()
-	ctrl.StopAfter(grace)
-	res, err = Solve(context.Background(), pg.NewFlow(topo(4, 16, 2), d), ws, Config{Control: ctrl})
+	const short = 200
+	res, err = Solve(context.Background(), pg.NewFlow(topo(4, 16, 2), d), ws, Config{NodeBudget: short, Incumbent: &inc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Proved || !res.Volatile || res.Expansions != grace || ctrl.Expansions() != grace {
-		t.Errorf("grace stop: proved %v volatile %v expansions %d (control %d), want unproved, volatile, exactly %d",
-			res.Proved, res.Volatile, res.Expansions, ctrl.Expansions(), grace)
+	if res.Proved || res.Expansions != short {
+		t.Errorf("budget stop under an incumbent: proved %v expansions %d, want unproved at exactly %d", res.Proved, res.Expansions, short)
 	}
-	res.Flow.Release()
+	switch {
+	case res.Flow == nil && res.Score != inc:
+		t.Errorf("no flow, but score %v is not the incumbent %v", res.Score, inc)
+	case res.Flow != nil && !(res.Score < inc):
+		t.Errorf("returned a flow scoring %v, not below the incumbent %v", res.Score, inc)
+	}
+	if res.Flow != nil {
+		res.Flow.Release()
+	}
 }

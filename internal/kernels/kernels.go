@@ -57,18 +57,24 @@ func All() []Kernel {
 // ByName returns the kernel with the given name, searching the paper's
 // four kernels and the extras.
 func ByName(name string) (Kernel, error) {
-	all := append(All(), Extras()...)
-	for _, k := range all {
+	for _, k := range append(All(), Extras()...) {
 		if k.Name == name {
 			return k, nil
 		}
 	}
-	var names []string
-	for _, k := range all {
-		names = append(names, k.Name)
-	}
+	names := Names()
 	sort.Strings(names)
 	return Kernel{}, fmt.Errorf("kernels: unknown kernel %q (have %v)", name, names)
+}
+
+// Names lists every kernel ByName accepts: the paper's four in Table 1
+// order, then the extras.
+func Names() []string {
+	var names []string
+	for _, k := range append(All(), Extras()...) {
+		names = append(names, k.Name)
+	}
+	return names
 }
 
 // PaperResources is the resource view of the full 64-CN DSPFabric with its

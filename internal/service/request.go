@@ -51,8 +51,9 @@ type OptionsSpec struct {
 	// memo (ablation; the result is bit-identical either way).
 	DisableMemo bool `json:"disable_memo,omitempty"`
 	// Engine selects the subproblem solver: "see" (default), "exact"
-	// (branch-and-bound with optimality proofs), or "portfolio" (both
-	// raced per subproblem). Unknown names are rejected with HTTP 400.
+	// (branch-and-bound with optimality proofs), or "portfolio" (the
+	// beam, then exact from the beam's score on small subproblems).
+	// Unknown names are rejected with HTTP 400.
 	Engine string `json:"engine,omitempty"`
 	// Schedule additionally runs iterative modulo scheduling on the
 	// clusterized result.

@@ -122,12 +122,14 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 }
 
 // A request-level timeout must cancel the compile mid-flight and
-// surface a cancelled job, not a hung worker.
+// surface a cancelled job, not a hung worker. The 16384-op compile
+// takes seconds, so no plausible machine finishes it inside the 100-ms
+// timeout.
 func TestSubmitTimeoutCancelsCompile(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	job, err := s.Submit(context.Background(), CompileRequest{
-		Synth:     &SynthSpec{Ops: 2048, Seed: 3, RecLatency: 3},
+		Synth:     &SynthSpec{Ops: 16384, Seed: 3, RecLatency: 3},
 		TimeoutMs: 100,
 	})
 	if err != nil {
