@@ -7,13 +7,8 @@
 
 GO ?= go
 
-# Output file for `make bench`; override per run to grow the scorecard
-# trajectory: `make bench OUT=BENCH_10.json`.
-OUT ?= BENCH_10.json
-
-# Commit recorded in the scorecard's provenance block; override when
-# benchmarking a tree whose HEAD is not the commit under test.
-GIT_SHA ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# Output file for `make bench`: the BENCH entry of the change under test.
+OUT ?= BENCH_22.json
 
 .PHONY: check fmt vet lint lint-json build test bench-module race race-stress fuzz-smoke bench bench-smoke daemon
 
@@ -80,20 +75,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSCCPartition$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildAndInterpret$$' -fuzztime 10s ./internal/ddg/
 
-# Regenerate the performance scorecard (delta SEE vs clone baseline,
-# journal microcosts, end-to-end Table-1 and feedback wall time with the
-# dedup+memo ablation). See README's Performance section for how to
-# read it.
+# Record a BENCH entry: every e2ebench workload on seeds 1-5 for
+# BENCHMARK.json's run length, plus one traced run, summarized as each
+# end-to-end metric's median, min and max, the per-layer metrics and
+# provenance. `go run ./cmd/perfbench -compare OLD.json NEW.json` flags
+# the metrics that moved beyond their bound and the old entry's spread.
 bench:
-	$(GO) run ./cmd/perfbench -out $(OUT) -git-sha $(GIT_SHA)
+	$(GO) run ./cmd/perfbench -out $(OUT)
 
-# CI smoke: the same harness restricted to fir2dim, output to stdout —
-# including a 4-point DSE sweep (k ∈ {8,6,4,2}) through the shared-memo
-# and per-point ablations. Catches benchmark-path rot (API drift,
-# panics, pathological slowdowns) without paying for the full Table-1
-# sweep on every push.
+# CI smoke: each e2ebench workload once, for one second, with its output
+# check; an incorrect output fails the target.
 bench-smoke:
-	$(GO) run ./cmd/perfbench -quick -out - -git-sha $(GIT_SHA)
+	$(GO) run ./cmd/perfbench -quick > /dev/null
 
 # Convenience: run the compilation daemon locally.
 daemon:

@@ -1,13 +1,13 @@
-// Command hcabench reruns every experiment of the reproduction (Table 1
-// plus the E2..E10 experiments indexed in DESIGN.md) and prints the rows
-// the way the paper reports them. EXPERIMENTS.md is generated from this
-// output.
+// Command hcabench reruns the experiments of the reproduction (Table 1
+// plus E2–E20, indexed in DESIGN.md) and prints the rows the way the
+// paper reports them. internal/bench/testdata/experiments.golden pins
+// this output with its timing columns masked, and EXPERIMENTS.md is
+// written from it.
 //
 // Usage:
 //
 //	hcabench              # all experiments
 //	hcabench -exp table1  # one experiment
-//	hcabench -exp sweep -bw 2,4,8
 package main
 
 import (
@@ -15,131 +15,29 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	ctx := context.Background()
-	var (
-		exp = flag.String("exp", "all", "experiment: table1, sweep, unified, statespace, routing, mapper, beam, sched, sim, remat, regpressure, schedaware, hetero, dma, scale, regalloc, explore, generalize, pipelining, feedback, all")
-		bw  = flag.String("bw", "2,4,8", "comma-separated bandwidths for -exp sweep")
-	)
+	exp := flag.String("exp", "all", "experiment: "+bench.ExperimentNames()+", or all")
 	flag.Parse()
 
-	run := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
-
-	if run("table1") {
-		fmt.Println(bench.FormatTable1(bench.Table1(ctx)))
-		ran = true
-	}
-	if run("sweep") {
-		fmt.Println(bench.FormatSweep(bench.SweepBandwidth(ctx, parseInts(*bw))))
-		ran = true
-	}
-	if run("unified") {
-		fmt.Println(bench.FormatUnified(bench.UnifiedBound(ctx)))
-		ran = true
-	}
-	if run("statespace") {
-		fmt.Println(bench.FormatStateSpace(bench.StateSpace(ctx, []int{64, 128, 256})))
-		ran = true
-	}
-	if run("routing") {
-		fmt.Println(bench.FormatRouting(bench.Routing(ctx, []int{4, 3, 2})))
-		ran = true
-	}
-	if run("mapper") {
-		var rows []bench.MapperRow
-		for _, v := range []int{3, 6, 12} {
-			row, err := bench.MapperBalance(ctx, v, 4)
-			if err != nil {
-				fatal(err)
-			}
-			rows = append(rows, row)
+	for _, e := range bench.Experiments {
+		if *exp != "all" && *exp != e.Name {
+			continue
 		}
-		fmt.Println(bench.FormatMapper(rows))
-		ran = true
-	}
-	if run("beam") {
-		fmt.Println(bench.FormatBeam(bench.BeamWidth(ctx, []int{1, 2, 4, 8, 16})))
-		ran = true
-	}
-	if run("sched") {
-		rows, err := bench.ScheduleAll(ctx)
+		out, err := e.Run(context.Background())
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", e.Name, err))
 		}
-		fmt.Println(bench.FormatSched(rows))
-		ran = true
-	}
-	if run("sim") {
-		fmt.Println(bench.FormatSim(bench.Simulate(ctx, 32)))
-		ran = true
-	}
-	if run("remat") {
-		fmt.Println(bench.FormatRemat(bench.RematAblation(ctx)))
-		ran = true
-	}
-	if run("regpressure") {
-		fmt.Println(bench.FormatRegPressure(bench.RegisterPressure(ctx)))
-		ran = true
-	}
-	if run("schedaware") {
-		fmt.Println(bench.FormatSchedAware(bench.SchedulingAware(ctx)))
-		ran = true
-	}
-	if run("hetero") {
-		fmt.Println(bench.FormatHetero(bench.Heterogeneous(ctx, []int{8, 4, 2})))
-		ran = true
-	}
-	if run("dma") {
-		fmt.Println(bench.FormatDMA(bench.DMAProgramming(ctx)))
-		ran = true
-	}
-	if run("scale") {
-		fmt.Println(bench.FormatScale(bench.ArchitectureScale(ctx)))
-		ran = true
-	}
-	if run("regalloc") {
-		fmt.Println(bench.FormatRegAlloc(bench.RegAlloc(ctx, 64)))
-		ran = true
-	}
-	if run("generalize") {
-		fmt.Println(bench.FormatGeneralize(bench.Generalization(ctx)))
-		ran = true
-	}
-	if run("pipelining") {
-		fmt.Println(bench.FormatPipelining(bench.PipeliningGain(ctx)))
-		ran = true
-	}
-	if run("feedback") {
-		fmt.Println(bench.FormatFeedback(bench.Feedback(ctx)))
-		ran = true
-	}
-	if run("explore") && *exp == "explore" { // too slow for -exp all
-		rows, best := bench.ExploreNMK(ctx, []int{2, 4, 8})
-		fmt.Println(bench.FormatExplore(rows, best))
+		fmt.Println(out)
 		ran = true
 	}
 	if !ran {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			fatal(err)
-		}
-		out = append(out, v)
-	}
-	return out
 }
 
 func fatal(err error) {

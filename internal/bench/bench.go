@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one runner per table, figure
 // or quantitative claim of the paper's evaluation (§5), as indexed in
 // DESIGN.md. Each runner returns structured rows plus a formatter that
-// prints them the way the paper reports them; cmd/hcabench drives them
-// all and EXPERIMENTS.md records paper-vs-measured.
+// prints them the way the paper reports them. Experiments lists them in
+// print order: cmd/hcabench prints them, testdata/experiments.golden
+// pins their rows, and EXPERIMENTS.md records paper-vs-measured.
 package bench
 
 import (
@@ -18,7 +19,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/modsched"
 	"repro/internal/see"
-	"repro/internal/sim"
 )
 
 // Table1Row reproduces one row of the paper's Table 1, extended with this
@@ -248,5 +248,3 @@ func shortErr(err error) string {
 	}
 	return s
 }
-
-var _ = sim.Stats{} // sim used by extras.go

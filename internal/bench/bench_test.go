@@ -4,6 +4,10 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/kernels"
+	"repro/internal/machine"
 )
 
 func TestTable1AllLegal(t *testing.T) {
@@ -265,13 +269,29 @@ func TestRegAllocRows(t *testing.T) {
 	}
 }
 
+// TestExploreNMKSmall runs E17 on a 2-value grid through dse.Sweep and
+// checks every row against a standalone core.HCA of the same fabric.
 func TestExploreNMKSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, best := ExploreNMK(context.Background(), []int{4, 8})
+	ctx := context.Background()
+	rows, best, err := ExploreNMK(ctx, []int{4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4*8 {
 		t.Fatalf("rows = %d, want 32", len(rows))
+	}
+	for _, r := range rows {
+		k, _ := kernels.ByName(r.Loop)
+		want := ExploreRow{Loop: r.Loop, N: r.N, M: r.M, K: r.K}
+		if res, err := core.HCA(ctx, k.Build(), machine.DSPFabric64(r.N, r.M, r.K), core.Options{}); err == nil {
+			want.Legal, want.FinalMII, want.AllLevels = res.Legal, res.MII.Final, res.MII.AllLevels
+		}
+		if r != want {
+			t.Errorf("sweep row %+v, standalone compile %+v", r, want)
+		}
 	}
 	for _, k := range []string{"fir2dim", "idcthor", "mpeg2inter", "h264deblocking"} {
 		if _, ok := best[k]; !ok {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ddg"
 	"repro/internal/dma"
 	"repro/internal/driver"
+	"repro/internal/dse"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/modsched"
@@ -358,37 +359,35 @@ type ExploreRow struct {
 }
 
 // ExploreNMK sweeps the three MUX capacities independently over the
-// given values and returns every (kernel, config) result, plus the best
-// configuration per kernel (minimal AllLevels MII, ties to the cheaper
-// fabric N+M+K).
-func ExploreNMK(ctx context.Context, values []int) (rows []ExploreRow, best map[string]ExploreRow) {
+// given values, one dse.Sweep per kernel, and returns every (kernel,
+// config) result in grid order (N outermost, K innermost), plus the
+// best configuration per kernel: minimal AllLevels MII, ties to the
+// cheaper fabric N+M+K, then to the earlier grid point.
+func ExploreNMK(ctx context.Context, values []int) (rows []ExploreRow, best map[string]ExploreRow, err error) {
 	best = map[string]ExploreRow{}
+	nv := len(values)
+	g := dse.Grid{N: values, M: values, K: values}
 	for _, k := range kernels.All() {
-		for _, n := range values {
-			for _, m := range values {
-				for _, kk := range values {
-					mc := machine.DSPFabric64(n, m, kk)
-					row := ExploreRow{Loop: k.Name, N: n, M: m, K: kk}
-					if res, err := core.HCA(ctx, k.Build(), mc, core.Options{}); err == nil {
-						row.Legal = res.Legal
-						row.FinalMII = res.MII.Final
-						row.AllLevels = res.MII.AllLevels
-					}
-					rows = append(rows, row)
-					if !row.Legal {
-						continue
-					}
-					b, ok := best[k.Name]
-					better := !ok || row.AllLevels < b.AllLevels ||
-						(row.AllLevels == b.AllLevels && row.N+row.M+row.K < b.N+b.M+b.K)
-					if better {
-						best[k.Name] = row
-					}
-				}
+		res, err := dse.Sweep(ctx, k.Build(), g, dse.Options{})
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, p := range res.Points {
+			row := ExploreRow{Loop: k.Name, N: values[i/(nv*nv)], M: values[i/nv%nv], K: values[i%nv],
+				Legal: p.Legal, FinalMII: p.MIIFinal, AllLevels: p.MIIAllLevels}
+			rows = append(rows, row)
+			if !row.Legal {
+				continue
+			}
+			b, ok := best[k.Name]
+			better := !ok || row.AllLevels < b.AllLevels ||
+				(row.AllLevels == b.AllLevels && row.N+row.M+row.K < b.N+b.M+b.K)
+			if better {
+				best[k.Name] = row
 			}
 		}
 	}
-	return rows, best
+	return rows, best, nil
 }
 
 // FormatExplore prints the per-kernel best configurations and the legal

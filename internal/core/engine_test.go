@@ -108,8 +108,7 @@ func TestExactProvesKernelPrefixes(t *testing.T) {
 			// beam miss (MII 2 against a proved MII-1 optimum), which is
 			// exactly the kind of instance the exact engine exists to
 			// expose; the ≤5% acceptance bound is asserted on the
-			// synthetic corpus aggregate below and documented for the
-			// full kernels in BENCH_8.json by cmd/perfbench.
+			// synthetic corpus aggregate below.
 			gap := (beam.Score - ex.Score) / ex.Score
 			t.Logf("%s: exact %.2f, beam %.2f, gap %.2f%%", k.Name, ex.Score, beam.Score, gap*100)
 			ex.Flow.Release()

@@ -530,10 +530,12 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 	// Retry ladder: if the configured search dead-ends (every beam state
 	// exhausted its communication ports — the impasse of §3), rerun with
 	// progressively more port-frugal cost functions and wider beams, and
-	// finally with a pre-reserved forwarding ring among the clusters,
-	// which keeps every value multi-hop routable no matter how the search
-	// commits the remaining ports. The tight two-input-port computation
-	// nodes make this essential at the leaf level.
+	// finally the first port-frugal rung once more on a pre-reserved
+	// forwarding ring among the clusters, which keeps every value
+	// multi-hop routable no matter how the search commits the remaining
+	// ports. The tight two-input-port computation nodes make this
+	// essential at the leaf level. A ring the start flow cannot reserve
+	// ends the ladder.
 	seeCfg := opt.SEE
 	seeCfg.Crit = opt.crit
 	if opt.SchedulingAware {
@@ -543,7 +545,7 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 	var best attemptOutcome
 	var bestEntry *MemoEntry
 	var err error
-	for i, cfg := range append(ladder, ladder[1:]...) {
+	for i, cfg := range append(ladder, ladder[1]) {
 		// A cancelled attempt ends the ladder: later rungs would only
 		// fail the same way.
 		if best.flow != nil || ctx.Err() != nil {
@@ -551,8 +553,8 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 		}
 		start := flow
 		rung, ring := i, false
-		if i >= len(ladder) {
-			rung, ring = i-len(ladder)+1, true
+		if i == len(ladder) {
+			rung, ring = 1, true
 			start = flow.Clone()
 			if rerr := reserveRing(start); rerr != nil {
 				break

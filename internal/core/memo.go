@@ -78,8 +78,6 @@ type AttemptKey struct {
 // Flag bits of AttemptKey.Flags.
 const (
 	kfSchedAware uint8 = 1 << iota // scheduling-aware criterion (rung 0 only)
-	kfRouterOnly
-	kfDisableRouter
 	kfDisableDedup
 	kfRemat
 	kfRing // ring-reserved retry of the rung
@@ -373,12 +371,6 @@ func attemptKeyFor(opt Options, start *pg.Flow, ws []graph.NodeID, cfg see.Confi
 	}
 	if rung == 0 && opt.SchedulingAware {
 		k.Flags |= kfSchedAware
-	}
-	if cfg.RouterOnly {
-		k.Flags |= kfRouterOnly
-	}
-	if cfg.DisableRouter {
-		k.Flags |= kfDisableRouter
 	}
 	if cfg.DisableDedup {
 		k.Flags |= kfDisableDedup

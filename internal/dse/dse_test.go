@@ -169,25 +169,43 @@ func TestSweepDeterministicAcrossWidths(t *testing.T) {
 }
 
 // TestSweepSharedMemoMatchesPerPoint: sharing the memo across points is
-// a pure performance play — the canonical output must be bit-identical
-// to the per-point-memo ablation.
+// a pure performance play — every solved point must equal a standalone
+// core.HCA compile of the same machine and engine, which runs on a memo
+// of its own.
 func TestSweepSharedMemoMatchesPerPoint(t *testing.T) {
+	ctx := context.Background()
 	d := kernels.Fir2Dim()
-	g := Grid{N: []int{8, 6}, M: []int{8, 6}, K: []int{8, 4}}
-	shared, err := Sweep(context.Background(), d, g, Options{})
+	g := Grid{N: []int{8, 6}, M: []int{8, 6}, K: []int{8, 4}, Engines: []string{"see", "exact"}}
+	const budget = 512
+	res, err := Sweep(ctx, d, g, Options{ExactBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	isolated, err := Sweep(context.Background(), d, g, Options{PerPointMemo: true})
+	pts, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, _ := shared.CanonicalJSON()
-	ib, _ := isolated.CanonicalJSON()
-	if !bytes.Equal(sb, ib) {
-		t.Fatal("shared-memo sweep diverged from per-point-memo sweep")
+	for i, p := range res.Points {
+		if p.Canonical != p.Index {
+			continue
+		}
+		alone, err := core.HCA(ctx, d, pts[i].Machine, core.Options{Engine: pts[i].Engine, ExactBudget: budget})
+		if err != nil {
+			if p.Error != err.Error() {
+				t.Errorf("point %d (%s, %s): sweep error %q, standalone %v", i, p.Engine, p.Machine, p.Error, err)
+			}
+			continue
+		}
+		want := p
+		want.MIIRec, want.MIIRes = alone.MII.Rec, alone.MII.Res
+		want.MIIFinal, want.MIIAllLevels = alone.MII.Final, alone.MII.AllLevels
+		want.Receives, want.Legal = alone.Recvs, alone.Legal
+		want.Winner, want.Error = topWinner(alone.EngineWins), ""
+		if p != want {
+			t.Errorf("point %d (%s, %s): sweep %+v, standalone %+v", i, p.Engine, p.Machine, p, want)
+		}
 	}
-	if shared.Stats.Memo.Hits == 0 {
+	if res.Stats.Memo.Hits == 0 {
 		t.Fatal("shared memo recorded no cross-point hits")
 	}
 }

@@ -27,11 +27,6 @@ type Options struct {
 	// injects its process-wide instance, so sweeps additionally share
 	// with — and warm — ordinary compile traffic.
 	Memo core.SubproblemMemo
-	// PerPointMemo gives every point its own fresh memo instead
-	// (ablation: isolates the cross-point sharing the sweep exists
-	// for; each point still memoizes within its own solve, exactly as
-	// a standalone core.HCA run would).
-	PerPointMemo bool
 	// MaxPoints rejects grids expanding beyond it with a typed error
 	// (0 = unbounded; the service sets its endpoint bound here).
 	MaxPoints int
@@ -183,13 +178,10 @@ func Sweep(ctx context.Context, d *ddg.DDG, g Grid, opt Options) (*Result, error
 	order := warmOrder(pts, solveIdx)
 
 	memo := opt.Memo
-	if memo == nil && !opt.PerPointMemo {
+	if memo == nil {
 		memo = core.NewMemo(0)
 	}
-	var before core.MemoStats
-	if memo != nil {
-		before = memo.Stats()
-	}
+	before := memo.Stats()
 
 	// Per-order-slot result slices: each worker writes only its own
 	// index, keeping the fan-out deterministic and race-free.
@@ -198,15 +190,11 @@ func Sweep(ctx context.Context, d *ddg.DDG, g Grid, opt Options) (*Result, error
 	startT := time.Now()
 	ferr := par.ForEachCtx(ctx, len(order), func(oi int) {
 		p := &pts[order[oi]]
-		m := memo
-		if opt.PerPointMemo {
-			m = core.NewMemo(0)
-		}
 		res, err := core.HCA(ctx, d, p.Machine, core.Options{
 			SEE:         see.Config{BeamWidth: opt.Beam, CandWidth: opt.Cand},
 			Engine:      p.Engine,
 			ExactBudget: opt.ExactBudget,
-			Memo:        m,
+			Memo:        memo,
 		})
 		solved[oi], serrs[oi] = res, err
 	})
@@ -224,12 +212,9 @@ func Sweep(ctx context.Context, d *ddg.DDG, g Grid, opt Options) (*Result, error
 
 	out := &Result{Kernel: d.Name}
 	out.Stats = Stats{Points: len(pts), Unique: len(solveIdx), Deduped: len(pts) - len(solveIdx), WallNs: int64(wall)}
-	if memo != nil {
-		after := memo.Stats()
-		out.Stats.Memo = memoDelta(before, after)
-		if t := out.Stats.Memo.Hits + out.Stats.Memo.Misses; t > 0 {
-			out.Stats.MemoHitRatio = float64(out.Stats.Memo.Hits) / float64(t)
-		}
+	out.Stats.Memo = memoDelta(before, memo.Stats())
+	if t := out.Stats.Memo.Hits + out.Stats.Memo.Misses; t > 0 {
+		out.Stats.MemoHitRatio = float64(out.Stats.Memo.Hits) / float64(t)
 	}
 	for i := range pts {
 		ci := canonical[i]

@@ -345,11 +345,11 @@ func (s *solver) dfs(ctx context.Context, depth int, parent pg.Terms) error {
 // at depth, mirroring the beam engine's candidate policy: every regular
 // cluster under the direct-pattern bound (maxHops 1) first; if none is
 // feasible, the route allocator (unlimited hops) — the no-candidates
-// action — unless disabled. RouterOnly skips the direct phase. Children
-// come back sorted by (score, fingerprint), the beam's canonical order,
-// so the first DFS dive follows the greedy beam-1 path and seeds a good
-// incumbent early. Children cut on their floor score are left out, but
-// they still count as feasible direct children for the router rule.
+// action. Children come back sorted by (score, fingerprint), the beam's
+// canonical order, so the first DFS dive follows the greedy beam-1 path
+// and seeds a good incumbent early. Children cut on their floor score
+// are left out, but they still count as feasible direct children for
+// the router rule.
 func (s *solver) evalChildren(depth int, parent pg.Terms) []childEval {
 	buf := s.scratch[depth][:0]
 	for i := range s.custom {
@@ -357,15 +357,10 @@ func (s *solver) evalChildren(depth int, parent pg.Terms) []childEval {
 			s.custom[i] = cr.Eval(s.f)
 		}
 	}
-	if s.cfg.RouterOnly {
+	buf, cut := s.evalClusters(depth, 1, parent, buf)
+	if len(buf) == 0 && !s.directFeasible(depth, cut) {
+		s.stats.RouterInvocations++
 		buf, _ = s.evalClusters(depth, 0, parent, buf)
-	} else {
-		var cut uint64
-		buf, cut = s.evalClusters(depth, 1, parent, buf)
-		if len(buf) == 0 && !s.cfg.DisableRouter && !s.directFeasible(depth, cut) {
-			s.stats.RouterInvocations++
-			buf, _ = s.evalClusters(depth, 0, parent, buf)
-		}
 	}
 	// Insertion sort by (score, fp): k is small (≤ 64, typically ≤ 8).
 	for i := 1; i < len(buf); i++ {

@@ -11,7 +11,7 @@ import (
 // BenchmarkSolve measures the delta-engine beam search on one level-0
 // subproblem (fir2dim on 4×16 clusters). Compare allocs/op against
 // BenchmarkSolveReference: the incremental assign/undo path is the whole
-// point of the rewrite, so the ratio is tracked in BENCH_2.json.
+// point of the delta engine.
 func BenchmarkSolve(b *testing.B) {
 	d := kernels.Fir2Dim()
 	f := pg.NewFlow(level0Topology(8), d)

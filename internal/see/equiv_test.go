@@ -106,8 +106,6 @@ func TestDeltaMatchesReferenceAcrossConfigs(t *testing.T) {
 		{"defaults", Config{}},
 		{"narrow-beam", Config{BeamWidth: 1, CandWidth: 1}},
 		{"wide-beam", Config{BeamWidth: 16, CandWidth: 8}},
-		{"router-only", Config{RouterOnly: true}},
-		{"no-router", Config{DisableRouter: true}},
 	}
 	for _, c := range cfgs {
 		f := pg.NewFlow(level0Topology(8), d)

@@ -86,14 +86,9 @@ func expandReference(f *pg.Flow, n graph.NodeID, cfg Config, stats *Stats) []sco
 		return cands
 	}
 
-	if !cfg.RouterOnly {
-		if cands := try(1); len(cands) > 0 {
-			return cands
-		}
-		if cfg.DisableRouter {
-			return nil
-		}
-		stats.RouterInvocations++
+	if cands := try(1); len(cands) > 0 {
+		return cands
 	}
+	stats.RouterInvocations++
 	return try(0)
 }

@@ -95,13 +95,6 @@ type Config struct {
 	CandWidth int // candidate filter width (default 4)
 	// Criteria is the objective function; DefaultCriteria() if nil.
 	Criteria []Criterion
-	// DisableRouter turns off the no-candidates action: any node with no
-	// direct-pattern candidate fails the whole search (ablation E5).
-	DisableRouter bool
-	// RouterOnly skips the direct-pattern first phase and always allows
-	// multi-hop routing (ablation: measures the cost of not preferring
-	// direct patterns).
-	RouterOnly bool
 	// DisableDedup turns off frontier deduplication (on by default):
 	// candidates whose pg.Flow fingerprint — canonical up to cluster
 	// symmetry — already entered the expansion are merged into their
@@ -225,7 +218,7 @@ type scored struct {
 // Solve assigns every node of ws (in priority order) onto the clusters of
 // start's topology and returns the best complete flow. start is not
 // modified. It fails if some instruction has no feasible cluster even
-// with the route allocator (or without it, when DisableRouter is set).
+// with the route allocator.
 //
 // Solve is the canonical context-first entry point: the beam search
 // checks ctx between node assignments (the outermost loop of Figure 5),
@@ -487,28 +480,12 @@ func (e *engine) expandFrontier(frontier []scored, n graph.NodeID, stats *Stats)
 	}
 
 	// Phase 1: direct communication patterns only (maxHops 1).
-	var direct []candEval
 	routedIdx := e.routedIdx[:0] // frontier indices entering the router phase
-	if cfg.RouterOnly {
-		for si := range states {
+	direct := e.evalBuf(&e.direct, len(states)*k)
+	e.evalStates(states, n, 1, direct)
+	for si := range states {
+		if feasible(direct[si*k:(si+1)*k]) == 0 {
 			routedIdx = append(routedIdx, si)
-		}
-	} else {
-		direct = e.evalBuf(&e.direct, len(states)*k)
-		e.evalStates(states, n, 1, direct)
-		if !cfg.DisableRouter {
-			for si := range states {
-				found := false
-				for c := 0; c < k; c++ {
-					if direct[si*k+c].ok {
-						found = true
-						break
-					}
-				}
-				if !found {
-					routedIdx = append(routedIdx, si)
-				}
-			}
 		}
 	}
 	e.routedIdx = routedIdx
@@ -530,44 +507,20 @@ func (e *engine) expandFrontier(frontier []scored, n graph.NodeID, stats *Stats)
 	idx := e.idx[:0]
 	ri := 0 // position in routedIdx (visited in ascending state order)
 	for si := range states {
-		var evals []candEval
-		hops := 1
-		useRouter := cfg.RouterOnly
-		if !cfg.RouterOnly {
-			stats.CandidatesTried += k
-			row := direct[si*k : (si+1)*k]
-			cnt := 0
-			for c := 0; c < k; c++ {
-				if row[c].ok {
-					cnt++
-				}
-			}
-			stats.StatesExplored += cnt
-			if cnt > 0 {
-				evals = row
-			} else if cfg.DisableRouter {
-				continue
-			} else {
-				stats.RouterInvocations++
-				useRouter = true
-			}
-		}
-		if useRouter {
-			row := routed[ri*k : (ri+1)*k]
+		evals, hops := direct[si*k:(si+1)*k], 1
+		stats.CandidatesTried += k
+		cnt := feasible(evals)
+		stats.StatesExplored += cnt
+		if cnt == 0 {
+			stats.RouterInvocations++
+			evals, hops = routed[ri*k:(ri+1)*k], 0
 			ri++
-			hops = 0
 			stats.CandidatesTried += k
-			cnt := 0
-			for c := 0; c < k; c++ {
-				if row[c].ok {
-					cnt++
-				}
-			}
+			cnt = feasible(evals)
 			stats.StatesExplored += cnt
 			if cnt == 0 {
 				continue
 			}
-			evals = row
 		}
 		// Candidate filter: best CandWidth clusters, stable over the
 		// ascending cluster order.
@@ -779,6 +732,19 @@ func sortIdxByScore(idx []int, evals []candEval) {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
+}
+
+// feasible counts the feasible candidates of one state's row.
+//
+//hca:hotpath
+func feasible(row []candEval) int {
+	n := 0
+	for c := range row {
+		if row[c].ok {
+			n++
+		}
+	}
+	return n
 }
 
 //hca:hotpath

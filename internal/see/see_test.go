@@ -216,8 +216,10 @@ func TestRouterEscapesImpasse(t *testing.T) {
 }
 
 func TestDisableRouterFails(t *testing.T) {
-	// Same ring, but u has TWO operands on clusters 0 and 1, MaxIn=1:
-	// no cluster can receive both directly.
+	// Same ring, but u has TWO operands on clusters 0 and 2, MaxIn=1:
+	// no cluster can receive both directly. With routing bounded to
+	// direct patterns (the search's first phase on its own), every
+	// placement of u fails; the route allocator must escape.
 	d := ddg.New("ring")
 	v0 := d.AddConst(1, "v0")
 	v1 := d.AddConst(2, "v1")
@@ -235,12 +237,19 @@ func TestDisableRouterFails(t *testing.T) {
 	if err := f.Assign(v1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(context.Background(), f, []graph.NodeID{u}, Config{DisableRouter: true}); err == nil {
-		t.Fatal("expected failure with router disabled")
+	for c := pg.ClusterID(0); c < 4; c++ {
+		g := f.Clone()
+		g.SetMaxHops(1)
+		if err := g.Assign(u, c); err == nil {
+			t.Fatalf("u assigned to cluster %d over direct patterns only", c)
+		}
 	}
 	res, err := Solve(context.Background(), f, []graph.NodeID{u}, Config{})
 	if err != nil {
 		t.Fatalf("router could not escape: %v", err)
+	}
+	if res.Stats.RouterInvocations == 0 {
+		t.Error("router was not invoked")
 	}
 	if err := res.Flow.Verify(); err != nil {
 		t.Fatal(err)
@@ -325,24 +334,6 @@ func TestCustomCriteria(t *testing.T) {
 	}
 	if got := res.Flow.Load(0); got != 0 {
 		t.Errorf("Load(0) = %d, want 0", got)
-	}
-}
-
-func TestRouterOnlyMode(t *testing.T) {
-	// RouterOnly must produce a legal solution without the direct-first
-	// phase (stats show zero router "invocations" because routing is the
-	// only mode).
-	d := kernels.Fir2Dim()
-	f := pg.NewFlow(level0Topology(8), d)
-	res, err := Solve(context.Background(), f, wsAll(d), Config{RouterOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Flow.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.RouterInvocations != 0 {
-		t.Errorf("RouterInvocations = %d in RouterOnly mode", res.Stats.RouterInvocations)
 	}
 }
 
