@@ -25,8 +25,8 @@ vet:
 
 # hcalint enforces the repo's own invariants (ctx-first API, zero-alloc
 # hot paths, journal balance, span End, typed validation errors, flow
-# lifecycle, shared-capture discipline, memo/cache-key discipline). See
-# README "Static analysis".
+# lifecycle, shared-capture discipline, memo key and memo protocol
+# discipline). See README "Static analysis".
 lint:
 	$(GO) run ./cmd/hcalint ./...
 
@@ -66,14 +66,16 @@ race-stress:
 	$(GO) test -race -run TestStoreCrashRecovery -count=2 ./internal/store/
 
 # Each native fuzz target for 10 s: the recurrence bound against its
-# whole-graph reference search, the SCC partition, and DDG build and
-# interpretation. `go test -fuzz` takes one target per run. A failing
-# input is written under the package's testdata/fuzz/ and replays in
-# every later `go test`.
+# whole-graph reference search, the SCC partition, DDG build and
+# interpretation, and the service's compile, explore and batch request
+# bodies. `go test -fuzz` takes one target per run. A failing input is
+# written under the package's testdata/fuzz/ and replays in every later
+# `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxCycleRatio$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzSCCPartition$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildAndInterpret$$' -fuzztime 10s ./internal/ddg/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s ./internal/service/
 
 # Record a BENCH entry: every e2ebench workload on seeds 1-5 for
 # BENCHMARK.json's run length, plus one traced run, summarized as each

@@ -9,10 +9,9 @@
 //     able to Abandon it: a cancelled attempt's result is not the
 //     subproblem's answer, and without an Abandon path it could only be
 //     published or leave its waiters blocked.
-//  3. Every field of the service OptionsSpec must appear in the
-//     cacheKey fingerprint: a request knob that does not reach the
-//     fingerprint makes cached responses collide across requests that
-//     differ in that knob.
+//
+// The service's result-cache key needs no rule: it hashes the whole
+// normalized option spec, so every field reaches it by construction.
 package memodisc
 
 import (
@@ -23,15 +22,12 @@ import (
 	"repro/internal/analysis/pathcheck"
 )
 
-const (
-	corePath    = "repro/internal/core"
-	servicePath = "internal/service"
-)
+const corePath = "repro/internal/core"
 
 // Analyzer enforces memo/engine discipline.
 var Analyzer = &analysis.Analyzer{
 	Name: "memodisc",
-	Doc:  "AttemptKey constructions must set Engine, memo Complete callers must have an Abandon path, and every OptionsSpec field must reach cacheKey",
+	Doc:  "AttemptKey constructions must set Engine, and memo Complete callers must have an Abandon path",
 	Run:  run,
 }
 
@@ -49,9 +45,6 @@ func run(pass *analysis.Pass) error {
 			}
 			return true
 		})
-	}
-	if analysis.PathMatches(pass.Pkg.Path(), servicePath) {
-		checkFingerprint(pass)
 	}
 	return nil
 }
@@ -323,54 +316,4 @@ func receiverTypeName(fd *ast.FuncDecl) string {
 		return id.Name
 	}
 	return ""
-}
-
-// --- rule 3: OptionsSpec fields reach cacheKey ---
-
-func checkFingerprint(pass *analysis.Pass) {
-	var spec *ast.StructType
-	var specFields []*ast.Ident
-	var cacheKey *ast.FuncDecl
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok || ts.Name.Name != "OptionsSpec" {
-						continue
-					}
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						spec = st
-						for _, f := range st.Fields.List {
-							specFields = append(specFields, f.Names...)
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				if d.Name.Name == "cacheKey" {
-					cacheKey = d
-				}
-			}
-		}
-	}
-	if spec == nil {
-		return
-	}
-	if cacheKey == nil || cacheKey.Body == nil {
-		pass.Reportf(spec.Pos(), "OptionsSpec has no cacheKey fingerprint function in this package")
-		return
-	}
-	used := make(map[string]bool)
-	ast.Inspect(cacheKey.Body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			used[sel.Sel.Name] = true
-		}
-		return true
-	})
-	for _, f := range specFields {
-		if !used[f.Name] {
-			pass.Reportf(f.Pos(), "OptionsSpec.%s does not reach cacheKey; cached responses would collide across requests differing in %s", f.Name, f.Name)
-		}
-	}
 }

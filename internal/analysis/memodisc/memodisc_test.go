@@ -8,7 +8,7 @@ import (
 )
 
 func TestMemoDisc(t *testing.T) {
-	antest.Run(t, antest.TestData(), memodisc.Analyzer, "memodisc", "memodisc/internal/service")
+	antest.Run(t, antest.TestData(), memodisc.Analyzer, "memodisc")
 }
 
 func TestMemoDiscFires(t *testing.T) {

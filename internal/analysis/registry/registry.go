@@ -38,7 +38,7 @@ func All() []Entry {
 		{Analyzer: flowlife.Analyzer, Fixtures: []string{"flowlife"}, Fire: "flowlife"},
 		{Analyzer: hotpathalloc.Analyzer, Fixtures: []string{"hotpathalloc"}, Fire: "hotpathalloc"},
 		{Analyzer: journalbalance.Analyzer, Fixtures: []string{"journalbalance"}, Fire: "journalbalance"},
-		{Analyzer: memodisc.Analyzer, Fixtures: []string{"memodisc", "memodisc/internal/service"}, Fire: "memodisc"},
+		{Analyzer: memodisc.Analyzer, Fixtures: []string{"memodisc"}, Fire: "memodisc"},
 		{Analyzer: sharecap.Analyzer, Fixtures: []string{"sharecap", "sharecap/internal/see"}, Fire: "sharecap"},
 		{Analyzer: spanend.Analyzer, Fixtures: []string{"spanend"}, Fire: "spanend"},
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -85,6 +86,50 @@ func TestSweepMaxPointsBound(t *testing.T) {
 	}
 	if _, err := Sweep(context.Background(), d, g, Options{MaxPoints: 4}); err != nil {
 		t.Fatalf("sweep at the bound failed: %v", err)
+	}
+}
+
+// NumPoints counts from the axis lengths: it agrees with Expand on
+// valid grids, saturates instead of overflowing, and lets Sweep turn an
+// oversized grid away without building a point.
+func TestNumPointsBeforeExpand(t *testing.T) {
+	for _, g := range []Grid{
+		{},
+		{K: []int{8, 6, 4, 2}},
+		{Type: "rcp", Neighbors: []int{2, 4}, Ports: []int{1, 2, 3}},
+		{N: []int{4, 8}, Engines: []string{"see", "exact"}, MemCNs: [][]int{nil, {0, 1}}},
+	} {
+		pts, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := g.NumPoints(); n != len(pts) {
+			t.Errorf("%+v: NumPoints %d, Expand %d points", g, n, len(pts))
+		}
+	}
+	axis := func(n int) []int {
+		a := make([]int, n)
+		for i := range a {
+			a[i] = 8 // repeated axis values are valid
+		}
+		return a
+	}
+	thousand := axis(1000)
+	huge := Grid{N: thousand, M: thousand, K: thousand, InPorts: thousand, OutPorts: thousand, Clusters: thousand, Neighbors: thousand}
+	if n := huge.NumPoints(); n != math.MaxInt {
+		t.Errorf("1000^7 grid counts %d points, want the saturated %d", n, math.MaxInt)
+	}
+	cube := Grid{N: axis(64), M: axis(64), K: axis(64)}
+	d := kernels.Fir2Dim()
+	allocs := testing.AllocsPerRun(5, func() {
+		_, err := Sweep(context.Background(), d, cube, Options{MaxPoints: 64})
+		var oe *see.OptionError
+		if !errors.As(err, &oe) || oe.Field != "grid" || oe.Value != 64*64*64 {
+			t.Fatalf("err = %v, want the typed grid bound error", err)
+		}
+	})
+	if allocs > 16 { // building the 262,144 points takes at least one each
+		t.Errorf("rejecting a 64^3 grid took %v allocations", allocs)
 	}
 }
 

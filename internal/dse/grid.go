@@ -25,6 +25,7 @@ package dse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,12 +91,23 @@ func axisOr(vs []int, def int) []int {
 	return vs
 }
 
-// NumPoints returns how many points the grid expands to, validating it
-// along the way; bad grids return the same typed *see.OptionError that
-// Expand would.
-func (g Grid) NumPoints() (int, error) {
-	pts, err := g.Expand()
-	return len(pts), err
+// NumPoints returns how many points the grid expands to, from its axis
+// lengths alone: nothing is built or validated, so a point bound can be
+// checked before Expand allocates the cross product. A grid that mixes
+// the two families' axes, which Expand rejects, counts every axis. The
+// product saturates at math.MaxInt instead of overflowing.
+func (g Grid) NumPoints() int {
+	n := 1
+	for _, l := range [...]int{len(g.Engines), len(g.N), len(g.M), len(g.K), len(g.InPorts), len(g.OutPorts),
+		len(g.Clusters), len(g.Neighbors), len(g.Ports), len(g.MemCNs)} {
+		if l > 1 {
+			if n > math.MaxInt/l {
+				return math.MaxInt
+			}
+			n *= l
+		}
+	}
+	return n
 }
 
 // Expand validates the grid and expands it into its cross product of

@@ -139,13 +139,13 @@ func (r *Result) CanonicalJSON() ([]byte, error) {
 // attempt (so sharing changes cost, never content), and the output is
 // ordered by canonical point index, not completion order.
 func Sweep(ctx context.Context, d *ddg.DDG, g Grid, opt Options) (*Result, error) {
+	if n := g.NumPoints(); opt.MaxPoints > 0 && n > opt.MaxPoints {
+		return nil, &see.OptionError{Field: "grid", Value: n,
+			Reason: "grid expands beyond the point bound"}
+	}
 	pts, err := g.Expand()
 	if err != nil {
 		return nil, err
-	}
-	if opt.MaxPoints > 0 && len(pts) > opt.MaxPoints {
-		return nil, &see.OptionError{Field: "grid", Value: len(pts),
-			Reason: "grid expands beyond the point bound"}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -51,8 +51,18 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
+
+// next consumes and returns the current token. It never steps past the
+// EOF token, so a truncated source keeps reading EOF and fails with an
+// error instead of indexing beyond the token slice.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *parser) expect(kind tokKind, text string) (token, error) {
 	t := p.next()

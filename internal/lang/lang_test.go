@@ -201,6 +201,32 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// Sources cut off mid-declaration or mid-statement must fail with an
+// error, never a panic: "kernel" alone once made the parser index past
+// its EOF token.
+func TestTruncatedSourcesFail(t *testing.T) {
+	for _, src := range []string{
+		"",
+		"kernel",
+		"kernel\n",
+		"kernel k\niv",
+		"kernel k\niv x",
+		"kernel k\niv x 0",
+		"kernel k\nwalk p 1",
+		"kernel k\nconst c",
+		"kernel k\ny =",
+		"kernel k\ny = (1 +",
+		"kernel k\ny = min(1,",
+		"kernel k\nstore(",
+		"kernel k\nstore(0,",
+		"kernel k\niv x 0 1\nstore(0, x",
+	} {
+		if _, err := Compile(src); err == nil {
+			t.Errorf("%q: compile accepted a truncated source", src)
+		}
+	}
+}
+
 func TestCompiledThroughFullPipeline(t *testing.T) {
 	d, err := Compile(convSrc)
 	if err != nil {

@@ -54,21 +54,8 @@ type BatchResponse struct {
 // entry was turned away by backpressure, which surfaces as 503 so
 // clients back off the whole batch.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var batch BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decode(w, r, &batch) {
 		return
 	}
 	if len(batch.Entries) == 0 {
@@ -98,7 +85,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		firstOf[i] = i
 		entry.Async = batch.Async
 		entry.Trace = false
-		key, err := RequestKey(entry)
+		wk, err := entry.work(s.cfg.DefaultEngine)
 		if err != nil {
 			st.Error = err.Error()
 			var oe *see.OptionError
@@ -107,7 +94,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		if first, ok := byKey[key]; ok {
+		if first, ok := byKey[wk.key]; ok {
 			st.Deduped = true
 			firstOf[i] = first
 			resp.Deduped++
@@ -117,8 +104,8 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			st.Field = resp.Entries[first].Field
 			continue
 		}
-		byKey[key] = i
-		job, err := s.Submit(parent, entry)
+		byKey[wk.key] = i
+		job, err := s.submit(parent, wk)
 		if err != nil {
 			st.Error = err.Error()
 			if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed) {
@@ -130,7 +117,10 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		st.JobID = job.ID
 	}
 	resp.Unique = len(byKey)
-	s.metrics.batch(int64(len(batch.Entries)), int64(resp.Deduped))
+	s.metrics.update(func(c *Snapshot) {
+		c.BatchEntries += int64(len(batch.Entries))
+		c.BatchDeduped += int64(resp.Deduped)
+	})
 
 	if rejected > 0 && rejected == resp.Unique {
 		// Every schedulable entry hit backpressure: tell the client to

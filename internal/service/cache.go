@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// lruCache is the content-addressed result cache: cache key (see
-// cacheKey) → the exact JSON bytes served for that compile. Entries are
+// lruCache is the content-addressed result cache: content key (see
+// contentKey) → the exact JSON bytes served for that job. Entries are
 // immutable once stored, so hits can hand out the stored slice directly
 // and repeated requests are byte-identical by construction.
 type lruCache struct {

@@ -2,16 +2,11 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/ddg"
 	"repro/internal/dse"
 	"repro/internal/see"
 )
@@ -48,13 +43,6 @@ type ExploreRequest struct {
 	Async bool `json:"async,omitempty"`
 }
 
-// exploreSpec is the worker-side payload of an exploration job.
-type exploreSpec struct {
-	d    *ddg.DDG
-	grid dse.Grid
-	opt  dse.Options
-}
-
 // normalize canonicalizes the search widths so equivalent requests
 // cache identically, mirroring CompileRequest.normalize.
 func (r *ExploreRequest) normalize() {
@@ -65,172 +53,75 @@ func (r *ExploreRequest) normalize() {
 	}
 }
 
-// build validates the request and constructs the DDG, the sweep spec
-// and the content-addressed cache key. maxPoints is the service's
-// point-count bound; grids beyond it come back as typed
-// *see.OptionError values → HTTP 400.
-func (r *ExploreRequest) build(maxPoints int) (*exploreSpec, string, error) {
-	r.normalize()
-	src := CompileRequest{Kernel: r.Kernel, Synth: r.Synth, Source: r.Source}
-	d, err := src.buildDDG()
-	if err != nil {
-		return nil, "", fmt.Errorf("bad request: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, "", fmt.Errorf("bad request: %w", err)
-	}
-	n, err := r.Grid.NumPoints()
-	if err != nil {
-		return nil, "", fmt.Errorf("bad request: %w", err)
-	}
-	if n > maxPoints {
-		return nil, "", fmt.Errorf("bad request: %w", &see.OptionError{
+// work validates the sweep and builds it: the DDG, the validated grid
+// and the content key. maxPoints is the service's point bound. It is
+// checked from the grid's axis lengths before any point is built, so an
+// oversized grid costs nothing to turn away. Bad grids come back as
+// typed *see.OptionError values → HTTP 400.
+func (r ExploreRequest) work(maxPoints int) (*work, error) {
+	if n := r.Grid.NumPoints(); n > maxPoints {
+		return nil, fmt.Errorf("bad request: %w", &see.OptionError{
 			Field: "grid", Value: n,
 			Reason: fmt.Sprintf("grid expands to %d points, limit %d", n, maxPoints)})
 	}
 	if r.ExactBudget < 0 {
-		return nil, "", fmt.Errorf("bad request: %w", &see.OptionError{
+		return nil, fmt.Errorf("bad request: %w", &see.OptionError{
 			Field: "exact_budget", Value: int(r.ExactBudget), Reason: "must be >= 0"})
 	}
-	spec := &exploreSpec{
-		d:    d,
-		grid: r.Grid,
-		opt: dse.Options{
-			Beam: r.Beam, Cand: r.Cand,
-			ExactBudget: r.ExactBudget,
-			MaxPoints:   maxPoints,
+	if _, err := r.Grid.Expand(); err != nil {
+		return nil, fmt.Errorf("bad request: %w", err)
+	}
+	src := CompileRequest{Kernel: r.Kernel, Synth: r.Synth, Source: r.Source}
+	d, err := src.buildDDG()
+	if err != nil {
+		return nil, fmt.Errorf("bad request: %w", err)
+	}
+	r.normalize()
+	return &work{
+		key: contentKey("explore", d, struct {
+			Grid        dse.Grid
+			Beam, Cand  int
+			ExactBudget int64
+		}{r.Grid, r.Beam, r.Cand, r.ExactBudget}),
+		async:   r.Async,
+		cached:  true,
+		timeout: time.Duration(r.TimeoutMs) * time.Millisecond,
+		// A sweep runs against the process-wide subproblem memo, so it
+		// both profits from and warms the memo shared with compiles.
+		render: func(ctx context.Context, s *Service) ([]byte, error) {
+			res, err := dse.Sweep(ctx, d, r.Grid, dse.Options{
+				Beam: r.Beam, Cand: r.Cand, ExactBudget: r.ExactBudget,
+				MaxPoints: maxPoints, Memo: s.memo,
+			})
+			if err != nil {
+				return nil, err
+			}
+			s.metrics.update(func(c *Snapshot) {
+				c.Sweeps++
+				c.SweepPoints += int64(res.Stats.Points)
+				c.SweepDeduped += int64(res.Stats.Deduped)
+			})
+			return json.MarshalIndent(res, "", "  ")
 		},
-	}
-	return spec, exploreKey(d, r), nil
+	}, nil
 }
 
-// timeout returns the effective sweep deadline.
-func (r *ExploreRequest) timeout(def time.Duration) time.Duration {
-	if r.TimeoutMs > 0 {
-		return time.Duration(r.TimeoutMs) * time.Millisecond
-	}
-	return def
-}
-
-// exploreKey derives the sweep's content-addressed cache key: a SHA-256
-// over a domain tag, the DDG's canonical fingerprint, the grid's
-// canonical JSON and every option that changes the result. Delivery
-// options (timeout, async) are excluded, exactly like cacheKey.
-func exploreKey(d *ddg.DDG, r *ExploreRequest) string {
-	grid, _ := json.Marshal(r.Grid)
-	h := sha256.New()
-	fmt.Fprintf(h, "explore\nddg:%s\ngrid:%s\nopts:b%d|c%d|xb%d\n",
-		d.Fingerprint(), grid, r.Beam, r.Cand, r.ExactBudget)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// SubmitExplore validates req, serves it from the result cache when
-// possible, and otherwise enqueues a sweep job on the same worker pool,
-// queue-backpressure and journal path as compiles. Identical async
-// sweeps single-flight onto one in-flight job.
+// SubmitExplore validates req and submits the sweep on the same cache,
+// single-flight, worker-pool and journal path as compiles.
 func (s *Service) SubmitExplore(ctx context.Context, req ExploreRequest) (*Job, error) {
-	spec, key, err := req.build(s.cfg.MaxExplorePoints)
+	wk, err := req.work(s.cfg.MaxExplorePoints)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.request()
-
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.hit()
-		return s.finishedJob(ctx, CompileRequest{}, key, body)
-	}
-	if s.store != nil {
-		if body, ok := s.store.Get(key); ok {
-			s.cache.Put(key, body)
-			s.metrics.hit()
-			s.metrics.storeHit()
-			return s.finishedJob(ctx, CompileRequest{}, key, body)
-		}
-		s.metrics.storeMiss()
-	}
-	if req.Async {
-		s.mu.Lock()
-		flight := s.inflight[key]
-		s.mu.Unlock()
-		if flight != nil {
-			s.metrics.hit()
-			s.metrics.singleflight()
-			return flight, nil
-		}
-	}
-
-	s.metrics.miss()
-	jctx, cancel := context.WithTimeout(ctx, req.timeout(s.cfg.DefaultTimeout))
-	job, err := s.register(CompileRequest{}, key, nil, nil, core.Options{}, jctx, cancel, true)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	job.exp = spec
-	select {
-	case s.queue <- job:
-		s.journalJob(job, StateQueued)
-		return job, nil
-	default:
-		s.jobsWG.Done()
-		s.unregister(job.ID)
-		cancel()
-		s.metrics.failure()
-		return nil, ErrQueueFull
-	}
-}
-
-// explore runs one sweep job against the process-wide subproblem memo,
-// so a sweep both profits from and warms the memo shared with ordinary
-// compile traffic.
-func (s *Service) explore(ctx context.Context, job *Job) ([]byte, error) {
-	opt := job.exp.opt
-	if opt.Memo == nil {
-		opt.Memo = s.memo
-	}
-	res, err := dse.Sweep(ctx, job.exp.d, job.exp.grid, opt)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.sweep(int64(res.Stats.Points), int64(res.Stats.Deduped))
-	return json.MarshalIndent(res, "", "  ")
+	return s.submit(ctx, wk)
 }
 
 // handleExplore is POST /v1/explore.
 func (s *Service) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req ExploreRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
-	parent := r.Context()
-	if req.Async {
-		parent = context.WithoutCancel(r.Context())
-	}
-	job, err := s.SubmitExplore(parent, req)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	if req.Async {
-		writeJSON(w, http.StatusAccepted, job.Status())
-		return
-	}
-	if err := job.Wait(r.Context()); err != nil {
-		writeError(w, http.StatusGatewayTimeout, err.Error())
-		return
-	}
-	s.writeJobResult(w, job)
+	wk, err := req.work(s.cfg.MaxExplorePoints)
+	s.reply(w, r, wk, err)
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/dse"
+	"repro/internal/see"
 )
 
 func postExplore(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -191,5 +194,91 @@ func TestExploreDedupMetrics(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.SweepPoints != 4 || m.SweepDeduped != 3 {
 		t.Fatalf("metrics = points %d deduped %d, want 4/3", m.SweepPoints, m.SweepDeduped)
+	}
+}
+
+// TestExploreKeyCoversSweepOptions: the sweep key changes with the
+// grid, the search widths and the exact budget, and with nothing else.
+func TestExploreKeyCoversSweepOptions(t *testing.T) {
+	key := func(req ExploreRequest) string {
+		t.Helper()
+		wk, err := req.work(DefaultMaxExplorePoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wk.key
+	}
+	grid := dse.Grid{K: []int{8, 4}}
+	want := key(ExploreRequest{Kernel: "fir2dim", Grid: grid})
+	for name, req := range map[string]ExploreRequest{
+		"grid":         {Kernel: "fir2dim", Grid: dse.Grid{K: []int{8, 2}}},
+		"beam":         {Kernel: "fir2dim", Grid: grid, Beam: 3},
+		"cand":         {Kernel: "fir2dim", Grid: grid, Cand: 3},
+		"exact budget": {Kernel: "fir2dim", Grid: grid, ExactBudget: 512},
+	} {
+		if key(req) == want {
+			t.Errorf("%s does not reach the explore key", name)
+		}
+	}
+	for _, req := range []ExploreRequest{
+		{Kernel: "fir2dim", Grid: grid, TimeoutMs: 5},
+		{Kernel: "fir2dim", Grid: grid, Async: true},
+		{Kernel: "fir2dim", Grid: grid, Beam: 8, Cand: 4},
+	} {
+		if key(req) != want {
+			t.Errorf("%+v changed the explore key", req)
+		}
+	}
+	compile, err := RequestKey(CompileRequest{Kernel: "fir2dim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compile == key(ExploreRequest{Kernel: "fir2dim"}) {
+		t.Error("a compile and a one-point sweep of the same kernel share a key")
+	}
+}
+
+// TestExploreBoundBeforeExpansion: a grid over the point bound is turned
+// away from its axis lengths, before any point is built, as the typed
+// grid 400. Turning away 8^3 or 64^3 points takes about ten
+// allocations; building the 262,144 points would take at least one
+// each.
+func TestExploreBoundBeforeExpansion(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	cube := func(n int) dse.Grid {
+		axis := make([]int, n)
+		for i := range axis {
+			axis[i] = 8 // repeated axis values are valid
+		}
+		return dse.Grid{N: axis, M: axis, K: axis}
+	}
+	allocs := func(n int) float64 {
+		req := ExploreRequest{Kernel: "fir2dim", Grid: cube(n)}
+		return testing.AllocsPerRun(5, func() {
+			_, err := svc.SubmitExplore(context.Background(), req)
+			var oe *see.OptionError
+			if !errors.As(err, &oe) || oe.Field != "grid" {
+				t.Fatalf("%d^3 grid: err = %v, want the typed grid bound error", n, err)
+			}
+		})
+	}
+	for _, n := range []int{8, 64} {
+		if a := allocs(n); a > 64 {
+			t.Errorf("rejecting a %d^3 grid took %v allocations", n, a)
+		}
+	}
+
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(ExploreRequest{Kernel: "fir2dim", Grid: cube(64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, b := postExplore(t, ts.URL, string(body))
+	var eb ErrorBody
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil || eb.Field != "grid" ||
+		!strings.Contains(eb.Error, fmt.Sprint(64*64*64)) {
+		t.Fatalf("64^3 grid: status %d: %s", resp.StatusCode, b)
 	}
 }

@@ -82,22 +82,32 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
+// decode reads a POST body into v: it rejects other methods (405),
+// bodies past MaxBodyBytes (413), and malformed JSON or unknown fields
+// (400), answering those itself. It reports whether the handler should
+// go on.
+func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req CompileRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-			return
+		} else {
+			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
+	var req CompileRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
 	// ?trace=1 records the compile and folds the telemetry summary into
@@ -105,23 +115,32 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
 		req.Trace = true
 	}
+	wk, err := req.work(s.cfg.DefaultEngine)
+	s.reply(w, r, wk, err)
+}
 
-	// An async job must outlive this HTTP exchange; a sync one dies with
-	// the client (disconnects cancel the compile instead of burning a
-	// worker on an unwanted result). WithoutCancel detaches the job from
-	// the exchange while keeping request-scoped values (trace recorder)
-	// flowing.
-	parent := r.Context()
-	if req.Async {
-		parent = context.WithoutCancel(r.Context())
+// reply submits the work built from an HTTP request (or reports why it
+// could not be built) and answers: 202 with the job's status when async,
+// otherwise the result once the job is terminal.
+func (s *Service) reply(w http.ResponseWriter, r *http.Request, wk *work, err error) {
+	var job *Job
+	if err == nil {
+		// An async job must outlive this HTTP exchange; a sync one dies
+		// with the client (disconnects cancel the run instead of burning
+		// a worker on an unwanted result). WithoutCancel detaches the job
+		// from the exchange while keeping request-scoped values (trace
+		// recorder) flowing.
+		parent := r.Context()
+		if wk.async {
+			parent = context.WithoutCancel(parent)
+		}
+		job, err = s.submit(parent, wk)
 	}
-	job, err := s.Submit(parent, req)
 	if err != nil {
 		writeSubmitError(w, err)
 		return
 	}
-
-	if req.Async {
+	if wk.async {
 		writeJSON(w, http.StatusAccepted, job.Status())
 		return
 	}

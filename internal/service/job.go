@@ -4,10 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/ddg"
-	"repro/internal/machine"
 )
 
 // State is a job's lifecycle phase.
@@ -26,9 +22,9 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Job tracks one compile request through the worker pool. Every field
-// behind mu is written by the owning worker and read by any number of
-// pollers (GET /v1/jobs/{id}).
+// Job tracks one compile or sweep request through the worker pool.
+// Every field behind mu is written by the owning worker and read by any
+// number of pollers (GET /v1/jobs/{id}).
 type Job struct {
 	ID  string
 	Key string // content-addressed cache key
@@ -36,13 +32,11 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	req CompileRequest
-	d   *ddg.DDG
-	mc  *machine.Config
-	opt core.Options
-	// exp, when set, makes this a design-space exploration job instead of
-	// a single compile; req/mc/opt are zero and ignored.
-	exp *exploreSpec
+	// render produces the result body on a worker (see work.render); it
+	// is dropped once it has run. cached lets the result reach the
+	// caches.
+	render func(ctx context.Context, s *Service) ([]byte, error)
+	cached bool
 
 	done chan struct{}
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,43 +27,44 @@ var latencyBucketsMs = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 25
 // where a miss is any request that had to compute (successful, failed or
 // cancelled — Failures and Cancelled are subsets of the misses).
 type Metrics struct {
-	mu        sync.Mutex
-	requests  int64
-	hits      int64
-	misses    int64
-	failures  int64
-	cancelled int64
-	inFlight  int64
+	mu sync.Mutex
+	// c holds the counters in the shape /metrics serves them; the
+	// derived and externally sourced fields stay zero here.
+	c    Snapshot
+	lat  window // completed-compile latencies
+	wait window // queue waits
+	// hist counts every completed compile since start (not a sliding
+	// window): hist[i] counts compiles of at most latencyBucketsMs[i]
+	// that no lower bucket took; the last entry counts the rest.
+	hist [len(latencyBucketsMs) + 1]int64
+}
 
-	storeHits     int64
-	storeMisses   int64
-	warmedEntries int64
-	recoveredJobs int64
-	sfHits        int64
-	rateLimited   int64
-	forwarded     int64
-	forwardFalls  int64
-	peerProbes    int64
-	peerProbeFail int64
-	batchEntries  int64
-	batchDeduped  int64
-	sweeps        int64
-	sweepPoints   int64
-	sweepDeduped  int64
-
-	lat  [latencySamples]time.Duration // ring of completed-compile latencies
+// window is a ring of the most recent latencySamples durations.
+type window struct {
+	buf  [latencySamples]time.Duration
 	next int
 	n    int
+}
 
-	// Cumulative histogram of every completed compile's latency (not a
-	// sliding window): histogram[i] counts compiles at most
-	// latencyBucketsMs[i]; histInf counts the rest.
-	histogram [len(latencyBucketsMs)]int64
-	histInf   int64
+func (w *window) add(d time.Duration) {
+	w.buf[w.next] = d
+	w.next = (w.next + 1) % latencySamples
+	w.n = min(w.n+1, latencySamples)
+}
 
-	wait  [latencySamples]time.Duration // ring of queue-wait times
-	wNext int
-	wN    int
+// sorted returns the window's samples in ascending order.
+func (w *window) sorted() []time.Duration {
+	s := append([]time.Duration(nil), w.buf[:w.n]...)
+	slices.Sort(s)
+	return s
+}
+
+// pctl returns the p-quantile of sorted in milliseconds, 0 when empty.
+func pctl(sorted []time.Duration, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return float64(sorted[int(p*float64(len(sorted)-1))]) / float64(time.Millisecond)
 }
 
 // HistogramBucket is one cumulative-count bucket of the latency
@@ -156,69 +158,18 @@ type Snapshot struct {
 	MemoByEngine map[string]core.EngineMemoStats `json:"memo_by_engine,omitempty"`
 }
 
-func (m *Metrics) request()      { m.mu.Lock(); m.requests++; m.mu.Unlock() }
-func (m *Metrics) hit()          { m.mu.Lock(); m.hits++; m.mu.Unlock() }
-func (m *Metrics) miss()         { m.mu.Lock(); m.misses++; m.mu.Unlock() }
-func (m *Metrics) failure()      { m.mu.Lock(); m.failures++; m.mu.Unlock() }
-func (m *Metrics) cancel()       { m.mu.Lock(); m.cancelled++; m.mu.Unlock() }
-func (m *Metrics) jobStart()     { m.mu.Lock(); m.inFlight++; m.mu.Unlock() }
-func (m *Metrics) jobEnd()       { m.mu.Lock(); m.inFlight--; m.mu.Unlock() }
-func (m *Metrics) storeHit()     { m.mu.Lock(); m.storeHits++; m.mu.Unlock() }
-func (m *Metrics) storeMiss()    { m.mu.Lock(); m.storeMisses++; m.mu.Unlock() }
-func (m *Metrics) singleflight() { m.mu.Lock(); m.sfHits++; m.mu.Unlock() }
-func (m *Metrics) rateLimit()    { m.mu.Lock(); m.rateLimited++; m.mu.Unlock() }
-func (m *Metrics) forward()      { m.mu.Lock(); m.forwarded++; m.mu.Unlock() }
-func (m *Metrics) forwardFall()  { m.mu.Lock(); m.forwardFalls++; m.mu.Unlock() }
-
-// peerProbe records one active health probe of a down-marked peer and
-// whether it found the peer back up.
-func (m *Metrics) peerProbe(up bool) {
+// update applies f to the counters under the registry's lock.
+func (m *Metrics) update(f func(c *Snapshot)) {
 	m.mu.Lock()
-	m.peerProbes++
-	if !up {
-		m.peerProbeFail++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) warmed(n int64)    { m.mu.Lock(); m.warmedEntries += n; m.mu.Unlock() }
-func (m *Metrics) recovered(n int64) { m.mu.Lock(); m.recoveredJobs += n; m.mu.Unlock() }
-func (m *Metrics) batch(entries, deduped int64) {
-	m.mu.Lock()
-	m.batchEntries += entries
-	m.batchDeduped += deduped
-	m.mu.Unlock()
-}
-
-// sweep records one completed design-space exploration.
-func (m *Metrics) sweep(points, deduped int64) {
-	m.mu.Lock()
-	m.sweeps++
-	m.sweepPoints += points
-	m.sweepDeduped += deduped
+	f(&m.c)
 	m.mu.Unlock()
 }
 
 // observe records one completed compile's wall-clock latency.
 func (m *Metrics) observe(d time.Duration) {
 	m.mu.Lock()
-	m.lat[m.next] = d
-	m.next = (m.next + 1) % latencySamples
-	if m.n < latencySamples {
-		m.n++
-	}
-	ms := float64(d) / float64(time.Millisecond)
-	placed := false
-	for i, le := range latencyBucketsMs {
-		if ms <= le {
-			m.histogram[i]++
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		m.histInf++
-	}
+	m.lat.add(d)
+	m.hist[sort.SearchFloat64s(latencyBucketsMs[:], float64(d)/float64(time.Millisecond))]++
 	m.mu.Unlock()
 }
 
@@ -226,11 +177,7 @@ func (m *Metrics) observe(d time.Duration) {
 // picked it up.
 func (m *Metrics) observeQueueWait(d time.Duration) {
 	m.mu.Lock()
-	m.wait[m.wNext] = d
-	m.wNext = (m.wNext + 1) % latencySamples
-	if m.wN < latencySamples {
-		m.wN++
-	}
+	m.wait.add(d)
 	m.mu.Unlock()
 }
 
@@ -238,66 +185,27 @@ func (m *Metrics) observeQueueWait(d time.Duration) {
 // percentiles over the recent-sample window.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
-	s := Snapshot{
-		Requests:    m.requests,
-		CacheHits:   m.hits,
-		CacheMisses: m.misses,
-		Failures:    m.failures,
-		Cancelled:   m.cancelled,
-		InFlight:    m.inFlight,
-
-		StoreHits:         m.storeHits,
-		StoreMisses:       m.storeMisses,
-		StoreWarmed:       m.warmedEntries,
-		RecoveredJobs:     m.recoveredJobs,
-		SingleFlightHits:  m.sfHits,
-		RateLimited:       m.rateLimited,
-		Forwarded:         m.forwarded,
-		ForwardFallbacks:  m.forwardFalls,
-		PeerProbes:        m.peerProbes,
-		PeerProbeFailures: m.peerProbeFail,
-		BatchEntries:      m.batchEntries,
-		BatchDeduped:      m.batchDeduped,
-		Sweeps:            m.sweeps,
-		SweepPoints:       m.sweepPoints,
-		SweepDeduped:      m.sweepDeduped,
-	}
-	samples := make([]time.Duration, m.n)
-	copy(samples, m.lat[:m.n])
-	waits := make([]time.Duration, m.wN)
-	copy(waits, m.wait[:m.wN])
+	s := m.c
+	lat, waits := m.lat.sorted(), m.wait.sorted()
 	total := int64(0)
-	for i, c := range m.histogram {
+	for i, c := range m.hist {
 		total += c
-		s.LatencyHistogram = append(s.LatencyHistogram,
-			HistogramBucket{LEMs: latencyBucketsMs[i], Count: total})
-	}
-	total += m.histInf
-	if total > 0 {
-		s.LatencyHistogram = append(s.LatencyHistogram, HistogramBucket{Inf: true, Count: total})
-	} else {
-		s.LatencyHistogram = nil
+		b := HistogramBucket{Inf: i == len(latencyBucketsMs), Count: total}
+		if !b.Inf {
+			b.LEMs = latencyBucketsMs[i]
+		}
+		s.LatencyHistogram = append(s.LatencyHistogram, b)
 	}
 	m.mu.Unlock()
 
+	if total == 0 {
+		s.LatencyHistogram = nil
+	}
 	if s.Requests > 0 {
 		s.CacheHitRatio = float64(s.CacheHits) / float64(s.Requests)
 	}
-	pctl := func(sorted []time.Duration, p float64) float64 {
-		idx := int(p * float64(len(sorted)-1))
-		return float64(sorted[idx]) / float64(time.Millisecond)
-	}
-	s.LatencySamples = len(samples)
-	if len(samples) > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		s.LatencyP50Ms = pctl(samples, 0.50)
-		s.LatencyP90Ms = pctl(samples, 0.90)
-		s.LatencyP99Ms = pctl(samples, 0.99)
-	}
-	if len(waits) > 0 {
-		sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-		s.QueueWaitP50Ms = pctl(waits, 0.50)
-		s.QueueWaitP99Ms = pctl(waits, 0.99)
-	}
+	s.LatencySamples = len(lat)
+	s.LatencyP50Ms, s.LatencyP90Ms, s.LatencyP99Ms = pctl(lat, 0.50), pctl(lat, 0.90), pctl(lat, 0.99)
+	s.QueueWaitP50Ms, s.QueueWaitP99Ms = pctl(waits, 0.50), pctl(waits, 0.99)
 	return s
 }

@@ -1,10 +1,11 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -135,36 +136,76 @@ func (r *CompileRequest) normalize() {
 	}
 }
 
-// build normalizes the request and constructs everything the submission
-// path needs: the validated DDG, machine model, pipeline options and the
-// content-addressed cache key.
-func (r *CompileRequest) build() (*ddg.DDG, *machine.Config, core.Options, string, error) {
+// work is one request built for submission: everything submit needs to
+// serve it from the caches or queue it, and the function a worker calls
+// to render its response body.
+type work struct {
+	key     string        // content key (see contentKey)
+	async   bool          // detached from its submitter, so it may single-flight
+	cached  bool          // may use the result caches; traced compiles may not
+	timeout time.Duration // 0 selects the service default
+	render  func(ctx context.Context, s *Service) ([]byte, error)
+}
+
+// contentKey derives a job's content-addressed cache key: a SHA-256 over
+// the job kind, the DDG's canonical fingerprint and the canonical JSON
+// of spec, the normalized inputs that shape the result besides the DDG.
+// spec is encoded whole, so each of its fields reaches the key by
+// construction; delivery options (timeout, async, trace) are never part
+// of it.
+func contentKey(kind string, d *ddg.DDG, spec any) string {
+	js, _ := json.Marshal(spec) // plain structs of numbers, strings and slices always encode
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n", kind, d.Fingerprint())
+	h.Write(js)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// work normalizes and validates the request and builds it: the DDG, the
+// machine model, the pipeline options and the content key. defaultEngine
+// fills an unset options.engine.
+func (r CompileRequest) work(defaultEngine string) (*work, error) {
+	if r.Options.Engine == "" {
+		r.Options.Engine = defaultEngine
+	}
 	r.normalize()
 	d, err := r.buildDDG()
 	if err != nil {
-		return nil, nil, core.Options{}, "", fmt.Errorf("bad request: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, nil, core.Options{}, "", fmt.Errorf("bad request: %w", err)
+		return nil, fmt.Errorf("bad request: %w", err)
 	}
 	mc, err := r.buildMachine()
 	if err != nil {
-		return nil, nil, core.Options{}, "", fmt.Errorf("bad request: %w", err)
+		return nil, fmt.Errorf("bad request: %w", err)
 	}
 	opt, err := r.buildOptions()
 	if err != nil {
-		return nil, nil, core.Options{}, "", fmt.Errorf("bad request: %w", err)
+		return nil, fmt.Errorf("bad request: %w", err)
 	}
-	return d, mc, opt, cacheKey(d, mc, r.Options), nil
+	return &work{
+		// The engine is part of the key through OptionsSpec: different
+		// engines legitimately return different (all legal) results.
+		key: contentKey("compile", d, struct {
+			Machine *machine.Config
+			Options OptionsSpec
+		}{mc, r.Options}),
+		async:   r.Async,
+		cached:  !r.Trace,
+		timeout: time.Duration(r.TimeoutMs) * time.Millisecond,
+		render: func(ctx context.Context, s *Service) ([]byte, error) {
+			return s.compile(ctx, d, mc, opt, r.Options, r.Trace)
+		},
+	}, nil
 }
 
 // RequestKey returns req's content-addressed cache key — the fingerprint
-// the batch endpoint dedups on and the sharding ring routes on. Delivery
-// options (timeout, async, trace) never affect it. req is taken by value
-// so the caller's copy is not normalized in place.
+// the sharding ring routes on. Delivery options (timeout, async, trace)
+// never affect it, and neither does any node's DefaultEngine.
 func RequestKey(req CompileRequest) (string, error) {
-	_, _, _, key, err := req.build()
-	return key, err
+	wk, err := req.work("")
+	if err != nil {
+		return "", err
+	}
+	return wk.key, nil
 }
 
 // buildOptions maps the request's option spec onto the core pipeline
@@ -185,7 +226,7 @@ func (r *CompileRequest) buildOptions() (core.Options, error) {
 	return opt, nil
 }
 
-// buildDDG constructs the request's DDG.
+// buildDDG constructs and validates the request's DDG.
 func (r *CompileRequest) buildDDG() (*ddg.DDG, error) {
 	sources := 0
 	if r.Kernel != "" {
@@ -200,23 +241,28 @@ func (r *CompileRequest) buildDDG() (*ddg.DDG, error) {
 	if sources != 1 {
 		return nil, &see.OptionError{Field: "kernel", Value: sources, Reason: "exactly one of kernel, synth or source must be set"}
 	}
+	var d *ddg.DDG
 	switch {
 	case r.Kernel != "":
 		k, err := kernels.ByName(r.Kernel)
 		if err != nil {
 			return nil, err
 		}
-		return k.Build(), nil
+		d = k.Build()
 	case r.Synth != nil:
 		if r.Synth.Ops < 16 || r.Synth.Ops > 1<<16 {
 			return nil, &see.OptionError{Field: "synth.ops", Value: r.Synth.Ops, Reason: "out of range [16, 65536]"}
 		}
-		return kernels.Synthetic(kernels.SynthConfig{
+		d = kernels.Synthetic(kernels.SynthConfig{
 			Ops: r.Synth.Ops, Seed: r.Synth.Seed, RecLatency: r.Synth.RecLatency,
-		}), nil
+		})
 	default:
-		return lang.Compile(r.Source)
+		var err error
+		if d, err = lang.Compile(r.Source); err != nil {
+			return nil, err
+		}
 	}
+	return d, d.Validate()
 }
 
 // buildMachine constructs the request's machine model.
@@ -232,44 +278,5 @@ func (r *CompileRequest) buildMachine() (*machine.Config, error) {
 	default:
 		return nil, &see.OptionError{Field: "machine.type", Str: r.Machine.Type, Reason: "want dspfabric, rcp or linear"}
 	}
-	if err := mc.Validate(); err != nil {
-		return nil, err
-	}
-	return mc, nil
-}
-
-// timeout returns the effective per-request deadline.
-func (r *CompileRequest) timeout(def time.Duration) time.Duration {
-	if r.TimeoutMs > 0 {
-		return time.Duration(r.TimeoutMs) * time.Millisecond
-	}
-	return def
-}
-
-// cacheKey derives the content-addressed cache key: a SHA-256 over the
-// DDG's canonical fingerprint, the machine's full canonical description,
-// and every option that changes the result. Delivery options (timeout,
-// async) are deliberately excluded.
-func cacheKey(d *ddg.DDG, mc *machine.Config, opt OptionsSpec) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "ddg:%s\n", d.Fingerprint())
-	fmt.Fprintf(&sb, "machine:%s", mc.Name)
-	for _, l := range mc.Levels {
-		fmt.Fprintf(&sb, "|%d/%d/%d", l.Groups, l.InWires, l.OutWires)
-	}
-	fmt.Fprintf(&sb, "|cn%d/%d|dma%d/%d/%d|ring%v|lin%v|nb%d|mem%v\n",
-		mc.CNInPorts, mc.CNOutPorts,
-		mc.DMAPorts, mc.DMAFIFODepth, mc.DMALatency,
-		mc.Ring, mc.Linear, mc.RingNeighbors, mc.MemCNs)
-	// The engine is part of the key: different engines legitimately
-	// return different (all legal) results for the same input, so a
-	// relaxed exact result must never be served to a strict-mode beam
-	// request from the result cache — the same discriminator rule the
-	// subproblem memo's AttemptKey.Engine enforces one layer down.
-	fmt.Fprintf(&sb, "opts:b%d|c%d|remat%v|seed%v|sa%v|sched%v|fb%v|dd%v|dm%v|eng%s\n",
-		opt.Beam, opt.Cand, opt.DisableRemat, opt.DisableSeeding,
-		opt.SchedulingAware, opt.Schedule, opt.Feedback,
-		opt.DisableDedup, opt.DisableMemo, opt.Engine)
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:])
+	return mc, mc.Validate()
 }

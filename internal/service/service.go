@@ -205,7 +205,7 @@ func (s *Service) warmCache() {
 			warmed++
 		}
 	}
-	s.metrics.warmed(int64(warmed))
+	s.metrics.update(func(c *Snapshot) { c.StoreWarmed += int64(warmed) })
 }
 
 // recoverJobs replays the journal: terminal jobs come back queryable
@@ -256,7 +256,7 @@ func (s *Service) recoverJobs() {
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
 	}
-	s.metrics.recovered(int64(len(recs)))
+	s.metrics.update(func(c *Snapshot) { c.RecoveredJobs += int64(len(recs)) })
 }
 
 // idSeq extracts the numeric suffix of a job ID ("job-000017" or
@@ -345,54 +345,61 @@ func (s *Service) Close() {
 // single-flight: while one is in the queue or running, later ones attach
 // to the same job instead of scheduling a duplicate compile.
 func (s *Service) Submit(ctx context.Context, req CompileRequest) (*Job, error) {
-	if req.Options.Engine == "" {
-		req.Options.Engine = s.cfg.DefaultEngine
-	}
-	d, mc, opt, key, err := req.build()
+	wk, err := req.work(s.cfg.DefaultEngine)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.request()
+	return s.submit(ctx, wk)
+}
 
-	// Traced requests bypass the cache in both directions: a cached body
+// submit is the one submission path of compiles, batch entries and
+// sweeps, with the semantics Submit documents: the caches (when wk may
+// use them), then async single-flight, then a new job bounded by the
+// work's timeout.
+func (s *Service) submit(ctx context.Context, wk *work) (*Job, error) {
+	s.metrics.update(func(c *Snapshot) { c.Requests++ })
+
+	// Traced compiles bypass the cache in both directions: a cached body
 	// carries no telemetry, and runJob symmetrically never stores a
 	// traced body.
-	if !req.Trace {
-		if body, ok := s.cache.Get(key); ok {
-			s.metrics.hit()
-			return s.finishedJob(ctx, req, key, body)
+	if wk.cached {
+		if body, ok := s.cache.Get(wk.key); ok {
+			s.metrics.update(func(c *Snapshot) { c.CacheHits++ })
+			return s.finishedJob(ctx, wk, body)
 		}
 		if s.store != nil {
-			if body, ok := s.store.Get(key); ok {
+			if body, ok := s.store.Get(wk.key); ok {
 				// Durable hit: promote to the LRU so the next repeat is
 				// a memory hit, count both layers.
-				s.cache.Put(key, body)
-				s.metrics.hit()
-				s.metrics.storeHit()
-				return s.finishedJob(ctx, req, key, body)
+				s.cache.Put(wk.key, body)
+				s.metrics.update(func(c *Snapshot) { c.CacheHits++; c.StoreHits++ })
+				return s.finishedJob(ctx, wk, body)
 			}
-			s.metrics.storeMiss()
+			s.metrics.update(func(c *Snapshot) { c.StoreMisses++ })
 		}
 		// Async single-flight: async jobs are detached from their
 		// submitters (context.WithoutCancel in the HTTP layer), so any
 		// number of callers can safely share one in-flight job. Sync
 		// jobs stay per-caller — their lifetime is bound to one client's
 		// connection.
-		if req.Async {
+		if wk.async {
 			s.mu.Lock()
-			flight := s.inflight[key]
+			flight := s.inflight[wk.key]
 			s.mu.Unlock()
 			if flight != nil {
-				s.metrics.hit()
-				s.metrics.singleflight()
+				s.metrics.update(func(c *Snapshot) { c.CacheHits++; c.SingleFlightHits++ })
 				return flight, nil
 			}
 		}
 	}
 
-	s.metrics.miss()
-	jctx, cancel := context.WithTimeout(ctx, req.timeout(s.cfg.DefaultTimeout))
-	job, err := s.register(req, key, d, mc, opt, jctx, cancel, true)
+	s.metrics.update(func(c *Snapshot) { c.CacheMisses++ })
+	timeout := wk.timeout
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	jctx, cancel := context.WithTimeout(ctx, timeout)
+	job, err := s.register(wk, jctx, cancel, true)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -405,7 +412,7 @@ func (s *Service) Submit(ctx context.Context, req CompileRequest) (*Job, error) 
 		s.jobsWG.Done()
 		s.unregister(job.ID)
 		cancel()
-		s.metrics.failure()
+		s.metrics.update(func(c *Snapshot) { c.Failures++ })
 		return nil, ErrQueueFull
 	}
 }
@@ -413,8 +420,8 @@ func (s *Service) Submit(ctx context.Context, req CompileRequest) (*Job, error) 
 // finishedJob registers a job that is terminal before anyone can observe
 // it — a cache or durable-store hit. Detached from the caller so a
 // racing cancel cannot mark it failed.
-func (s *Service) finishedJob(ctx context.Context, req CompileRequest, key string, body []byte) (*Job, error) {
-	job, err := s.register(req, key, nil, nil, core.Options{}, context.WithoutCancel(ctx), func() {}, false)
+func (s *Service) finishedJob(ctx context.Context, wk *work, body []byte) (*Job, error) {
+	job, err := s.register(wk, context.WithoutCancel(ctx), func() {}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -441,17 +448,15 @@ func (s *Service) journalJob(job *Job, st State) {
 
 // register creates and indexes a job, pruning the oldest terminal jobs
 // beyond the configured history bound. It fails once the service is
-// draining. With track set it also joins the job to the drain
-// wait-group — under the same lock as the closed check, so no job can
-// slip in after Close started waiting.
-func (s *Service) register(req CompileRequest, key string, d *ddg.DDG, mc *machine.Config, opt core.Options, jctx context.Context, cancel context.CancelFunc, track bool) (*Job, error) {
+// draining. With track set the job is one that will run: it keeps the
+// work's render function and joins the drain wait-group — under the
+// same lock as the closed check, so no job can slip in after Close
+// started waiting.
+func (s *Service) register(wk *work, jctx context.Context, cancel context.CancelFunc, track bool) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
-	}
-	if track {
-		s.jobsWG.Add(1)
 	}
 	s.nextID++
 	id := fmt.Sprintf("job-%06d", s.nextID)
@@ -459,22 +464,22 @@ func (s *Service) register(req CompileRequest, key string, d *ddg.DDG, mc *machi
 		id = s.cfg.NodeName + "-" + id
 	}
 	job := &Job{
-		ID:     id,
-		Key:    key,
-		ctx:    jctx,
-		cancel: cancel,
-		req:    req,
-		d:      d,
-		mc:     mc,
-		opt:    opt,
-		done:   make(chan struct{}),
-		state:  StateQueued,
+		ID:      id,
+		Key:     wk.key,
+		ctx:     jctx,
+		cancel:  cancel,
+		done:    make(chan struct{}),
+		state:   StateQueued,
+		created: time.Now(),
 	}
-	job.created = time.Now()
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
-	if track && !req.Trace {
-		s.inflight[key] = job
+	if track {
+		s.jobsWG.Add(1)
+		job.render, job.cached = wk.render, wk.cached
+		if wk.cached {
+			s.inflight[wk.key] = job
+		}
 	}
 	for len(s.order) > s.cfg.MaxJobs {
 		oldest, ok := s.jobs[s.order[0]]
@@ -521,7 +526,7 @@ func (s *Service) Job(id string) (*Job, bool) {
 
 // NoteRateLimited feeds a rate-limit rejection from the middleware layer
 // (which lives outside this package) into the /metrics registry.
-func (s *Service) NoteRateLimited() { s.metrics.rateLimit() }
+func (s *Service) NoteRateLimited() { s.metrics.update(func(c *Snapshot) { c.RateLimited++ }) }
 
 // Metrics returns a consistent snapshot of the service counters.
 func (s *Service) Metrics() Snapshot {
@@ -549,31 +554,32 @@ func (s *Service) runJob(job *Job) {
 	defer job.cancel()
 	defer s.clearFlight(job)
 	if err := job.ctx.Err(); err != nil {
-		s.metrics.cancel()
+		s.metrics.update(func(c *Snapshot) { c.Cancelled++ })
 		job.finish(StateCancelled, nil, false, err.Error())
 		s.journalJob(job, StateCancelled)
 		return
 	}
 	job.setRunning()
 	s.journalJob(job, StateRunning)
-	s.metrics.jobStart()
+	s.metrics.update(func(c *Snapshot) { c.InFlight++ })
 	s.metrics.observeQueueWait(time.Since(job.created))
-	defer s.metrics.jobEnd()
+	defer s.metrics.update(func(c *Snapshot) { c.InFlight-- })
 	start := time.Now()
-	body, err := s.execute(job.ctx, job)
+	body, err := job.render(job.ctx, s)
+	job.render = nil // the job history must not pin the request's inputs
 	if err != nil {
 		if cerr := job.ctx.Err(); cerr != nil {
-			s.metrics.cancel()
+			s.metrics.update(func(c *Snapshot) { c.Cancelled++ })
 			job.finish(StateCancelled, nil, false, cerr.Error())
 			s.journalJob(job, StateCancelled)
 		} else {
-			s.metrics.failure()
+			s.metrics.update(func(c *Snapshot) { c.Failures++ })
 			job.finish(StateFailed, nil, false, err.Error())
 			s.journalJob(job, StateFailed)
 		}
 		return
 	}
-	if !job.req.Trace {
+	if job.cached {
 		s.cache.Put(job.Key, body)
 		// Write-through to the durable layer: the result outlives the
 		// process and warms the cache after the next restart.
@@ -586,53 +592,41 @@ func (s *Service) runJob(job *Job) {
 	s.journalJob(job, StateDone)
 }
 
-// execute runs a dequeued job's work and renders the response body:
-// a design-space sweep for explore jobs, the compile pipeline otherwise.
-func (s *Service) execute(ctx context.Context, job *Job) ([]byte, error) {
-	if job.exp != nil {
-		return s.explore(ctx, job)
-	}
-	rep, err := s.compile(ctx, job)
-	if err != nil {
-		return nil, err
-	}
-	return rep.JSON()
-}
-
-// compile runs the requested pipeline: plain HCA, HCA + modulo
-// scheduling, or the full §5 feedback loop. With req.Trace set the run is
-// recorded and the telemetry summary is folded into the report.
+// compile runs the requested pipeline and renders its report: plain
+// HCA, HCA + modulo scheduling, or the full §5 feedback loop. A traced
+// compile is recorded and the telemetry summary is folded into the
+// report.
 //
-// Untraced requests (unless they opt out) run against the process-wide
+// Untraced compiles (unless they opt out) run against the process-wide
 // subproblem memo, so structurally identical subproblems solve once per
-// daemon lifetime rather than once per request. Traced requests use a
+// daemon lifetime rather than once per request. Traced compiles use a
 // per-run memo instead: their telemetry must be reproducible from the
 // request alone, not a function of what the process solved earlier.
-func (s *Service) compile(ctx context.Context, job *Job) (*report.Report, error) {
+func (s *Service) compile(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt core.Options, spec OptionsSpec, traced bool) ([]byte, error) {
 	var rec *trace.Recorder
-	if job.req.Trace {
+	if traced {
 		rec = trace.New()
 		ctx = trace.With(ctx, rec)
-	} else if job.opt.Memo == nil && !job.opt.DisableMemo {
-		job.opt.Memo = s.memo
+	} else if !opt.DisableMemo {
+		opt.Memo = s.memo
 	}
-	if job.req.Options.Feedback {
-		fb, err := driver.HCAWithFeedback(ctx, job.d, job.mc, job.opt)
+	if spec.Feedback {
+		fb, err := driver.HCAWithFeedback(ctx, d, mc, opt)
 		if err != nil {
 			return nil, err
 		}
-		return report.Build(fb.Result, fb.Schedule, fb.Variant, rec), nil
+		return report.Build(fb.Result, fb.Schedule, fb.Variant, rec).JSON()
 	}
-	res, err := core.HCA(ctx, job.d, job.mc, job.opt)
+	res, err := core.HCA(ctx, d, mc, opt)
 	if err != nil {
 		return nil, err
 	}
 	var sch *modsched.Schedule
-	if job.req.Options.Schedule {
-		sch, err = modsched.Run(ctx, res.Final, res.FinalCN, job.mc, modsched.Config{})
+	if spec.Schedule {
+		sch, err = modsched.Run(ctx, res.Final, res.FinalCN, mc, modsched.Config{})
 		if err != nil {
 			return nil, err
 		}
 	}
-	return report.Build(res, sch, "", rec), nil
+	return report.Build(res, sch, "", rec).JSON()
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -47,22 +48,36 @@ func TestMetricsPercentiles(t *testing.T) {
 	if s.LatencyP99Ms < 95 || s.LatencyP99Ms > 100 {
 		t.Errorf("p99 %v", s.LatencyP99Ms)
 	}
+
+	// Queue waits keep their own window: hour-long waits followed by a
+	// full window of 1..latencySamples ms slide out of it.
+	for i := 0; i < 500; i++ {
+		m.observeQueueWait(time.Hour)
+	}
+	for i := 1; i <= latencySamples; i++ {
+		m.observeQueueWait(time.Duration(i) * time.Millisecond)
+	}
+	s = m.Snapshot()
+	if s.QueueWaitP50Ms < 500 || s.QueueWaitP50Ms > 525 {
+		t.Errorf("queue wait p50 %v", s.QueueWaitP50Ms)
+	}
+	if s.QueueWaitP99Ms < 1000 || s.QueueWaitP99Ms > latencySamples {
+		t.Errorf("queue wait p99 %v", s.QueueWaitP99Ms)
+	}
+	if s.LatencySamples != 100 || s.LatencyP50Ms < 45 || s.LatencyP50Ms > 55 {
+		t.Errorf("queue waits moved the latency window: %d samples, p50 %v", s.LatencySamples, s.LatencyP50Ms)
+	}
 }
 
 // Equivalent requests must canonicalize to the same cache key; requests
 // differing in any result-affecting dimension must not.
 func TestCacheKeyCanonicalization(t *testing.T) {
 	key := func(req CompileRequest) string {
-		req.normalize()
-		d, err := req.buildDDG()
+		k, err := RequestKey(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, err := req.buildMachine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cacheKey(d, mc, req.Options)
+		return k
 	}
 
 	implicit := CompileRequest{Kernel: "fir2dim"}
@@ -101,6 +116,49 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 			t.Errorf("request %d collides with %d", i, prev)
 		}
 		seen[k] = i
+	}
+}
+
+// Every OptionsSpec field reaches the key by construction: a
+// non-default valid value in any one of them changes RequestKey, while
+// the delivery options never do.
+func TestRequestKeyCoversEveryOption(t *testing.T) {
+	base := CompileRequest{Kernel: "fir2dim"}
+	want, err := RequestKey(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := reflect.TypeOf(OptionsSpec{})
+	for i := 0; i < spec.NumField(); i++ {
+		f := spec.Field(i)
+		req := base
+		v := reflect.ValueOf(&req.Options).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int:
+			v.SetInt(3) // beam and cand default to 8 and 4
+		case reflect.String:
+			v.SetString("exact") // the engine defaults to "see"
+		default:
+			t.Fatalf("OptionsSpec.%s: no test value for a %s field", f.Name, f.Type.Kind())
+		}
+		got, err := RequestKey(req)
+		if err != nil {
+			t.Fatalf("OptionsSpec.%s: %v", f.Name, err)
+		}
+		if got == want {
+			t.Errorf("OptionsSpec.%s does not reach the key", f.Name)
+		}
+	}
+	for _, req := range []CompileRequest{
+		{Kernel: "fir2dim", TimeoutMs: 5},
+		{Kernel: "fir2dim", Async: true},
+		{Kernel: "fir2dim", Trace: true},
+	} {
+		if got, err := RequestKey(req); err != nil || got != want {
+			t.Errorf("delivery options changed the key of %+v (err %v)", req, err)
+		}
 	}
 }
 

@@ -221,7 +221,12 @@ func (sh *ShardedHandler) peerUp(ctx context.Context, owner string) bool {
 	sh.healthMu.Unlock()
 
 	up := sh.probe(ctx, owner)
-	sh.svc.metrics.peerProbe(up)
+	sh.svc.metrics.update(func(c *Snapshot) {
+		c.PeerProbes++
+		if !up {
+			c.PeerProbeFailures++
+		}
+	})
 	if up {
 		sh.healthMu.Lock()
 		delete(sh.down, owner)
@@ -259,9 +264,25 @@ func (sh *ShardedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/compile":
-		sh.routeCompile(w, r)
+		sh.route(w, r, func(body []byte) (string, error) {
+			var req CompileRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return "", err
+			}
+			return RequestKey(req)
+		})
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/explore":
-		sh.routeExplore(w, r)
+		sh.route(w, r, func(body []byte) (string, error) {
+			var req ExploreRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return "", err
+			}
+			wk, err := req.work(sh.svc.cfg.MaxExplorePoints)
+			if err != nil {
+				return "", err
+			}
+			return wk.key, nil
+		})
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
 		sh.routeJob(w, r)
 	default:
@@ -270,11 +291,14 @@ func (sh *ShardedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// routeCompile fingerprints the submission and forwards it to the
-// owner node, serving locally when this node owns it or the owner is
-// unreachable. The body must be read to fingerprint it, so the local
-// fall-through re-wraps the bytes.
-func (sh *ShardedHandler) routeCompile(w http.ResponseWriter, r *http.Request) {
+// route reads a submission, takes its content key and forwards it to
+// the key's owner node, so a fleet computes each compile and each sweep
+// once. It serves locally when this node owns the key, when the body
+// cannot be keyed (the local handler then produces its usual 400), and
+// when the owner is not a peer believed healthy — the result may then
+// be computed twice fleet-wide, but it is never lost. The body must be
+// read to key it, so the local fall-through re-wraps the bytes.
+func (sh *ShardedHandler) route(w http.ResponseWriter, r *http.Request, key func(body []byte) (string, error)) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, sh.svc.cfg.MaxBodyBytes))
 	if err != nil {
 		writeSubmitError(w, err)
@@ -287,57 +311,12 @@ func (sh *ShardedHandler) routeCompile(w http.ResponseWriter, r *http.Request) {
 		r2.ContentLength = int64(len(body))
 		sh.next.ServeHTTP(w, r2)
 	}
-
-	var req CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		// Malformed request: let the local handler produce its usual
-		// 400 envelope rather than duplicating the error surface here.
-		serveLocal()
-		return
-	}
-	key, err := RequestKey(req)
+	k, err := key(body)
 	if err != nil {
 		serveLocal()
 		return
 	}
-	sh.forwardOrLocal(w, r, key, body, serveLocal)
-}
-
-// routeExplore fingerprints a sweep submission and forwards it to the
-// owner node, exactly like routeCompile — the whole point of sharding
-// is that a fleet-wide DSE run computes each sweep once.
-func (sh *ShardedHandler) routeExplore(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, sh.svc.cfg.MaxBodyBytes))
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	serveLocal := func() {
-		w.Header().Set(ShardHeader, sh.tag)
-		r2 := r.Clone(r.Context())
-		r2.Body = io.NopCloser(bytes.NewReader(body))
-		r2.ContentLength = int64(len(body))
-		sh.next.ServeHTTP(w, r2)
-	}
-
-	var req ExploreRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		serveLocal()
-		return
-	}
-	_, key, err := req.build(sh.svc.cfg.MaxExplorePoints)
-	if err != nil {
-		serveLocal()
-		return
-	}
-	sh.forwardOrLocal(w, r, key, body, serveLocal)
-}
-
-// forwardOrLocal sends the keyed request to its ring owner when that is
-// a peer believed healthy, falling back to local computation otherwise.
-// The result may then be computed twice fleet-wide; it is never lost.
-func (sh *ShardedHandler) forwardOrLocal(w http.ResponseWriter, r *http.Request, key string, body []byte, serveLocal func()) {
-	owner := sh.ring.Owner(key)
+	owner := sh.ring.Owner(k)
 	if owner == "" || owner == sh.self {
 		serveLocal()
 		return
@@ -345,7 +324,7 @@ func (sh *ShardedHandler) forwardOrLocal(w http.ResponseWriter, r *http.Request,
 	if sh.peerUp(r.Context(), owner) && sh.forward(w, r, owner, body) {
 		return
 	}
-	sh.svc.metrics.forwardFall()
+	sh.svc.metrics.update(func(c *Snapshot) { c.ForwardFallbacks++ })
 	serveLocal()
 }
 
@@ -369,7 +348,7 @@ func (sh *ShardedHandler) routeJob(w http.ResponseWriter, r *http.Request) {
 	if sh.peerUp(r.Context(), owner) && sh.forward(w, r, owner, nil) {
 		return
 	}
-	sh.svc.metrics.forwardFall()
+	sh.svc.metrics.update(func(c *Snapshot) { c.ForwardFallbacks++ })
 	w.Header().Set(ShardHeader, sh.tag)
 	sh.next.ServeHTTP(w, r)
 }
@@ -402,7 +381,7 @@ func (sh *ShardedHandler) forward(w http.ResponseWriter, r *http.Request, owner 
 		return false
 	}
 	defer resp.Body.Close()
-	sh.svc.metrics.forward()
+	sh.svc.metrics.update(func(c *Snapshot) { c.Forwarded++ })
 	for k, vs := range resp.Header {
 		for _, v := range vs {
 			w.Header().Add(k, v)
