@@ -15,6 +15,10 @@
 //
 //	hca -kernel h264deblocking -cpuprofile cpu.out -memprofile mem.out
 //
+// hca builds its compile through service.CompileRequest, like the hcad
+// daemon: it accepts and rejects the same requests, with the same typed
+// errors, and -json prints the daemon's response body byte for byte.
+//
 // Telemetry: -trace out.json records the compile and writes a Chrome
 // trace-event file (open in Perfetto or chrome://tracing; one span per
 // subproblem, per-variant spans under -feedback); -trace-summary prints
@@ -25,123 +29,127 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/ddg"
 	"repro/internal/dma"
-	"repro/internal/driver"
 	"repro/internal/emit"
 	"repro/internal/kernels"
-	"repro/internal/lang"
-	"repro/internal/machine"
-	"repro/internal/modsched"
 	"repro/internal/regalloc"
 	"repro/internal/report"
-	"repro/internal/see"
+	"repro/internal/service"
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		kernel   = flag.String("kernel", "fir2dim", "kernel name: "+strings.Join(kernels.Names(), ", "))
-		synth    = flag.Int("synth", 0, "use a synthetic DDG with this many ops instead of -kernel")
-		srcFile  = flag.String("src", "", "compile a kernel-description file (see internal/lang) instead of -kernel")
-		seed     = flag.Int64("seed", 1, "synthetic workload seed")
-		recLat   = flag.Int("reclat", 3, "synthetic recurrence latency (0 = none)")
-		n        = flag.Int("n", 8, "DSPFabric level-0 switch capacity N")
-		m        = flag.Int("m", 8, "DSPFabric level-1 MUX capacity M")
-		k        = flag.Int("k", 8, "DSPFabric leaf crossbar external inputs K")
-		rcp      = flag.Bool("rcp", false, "target the flat RCP ring instead of DSPFabric")
-		clusters = flag.Int("clusters", 8, "RCP cluster count")
-		nbrs     = flag.Int("neighbors", 2, "RCP ring neighborhood")
-		ports    = flag.Int("ports", 2, "RCP input ports per cluster")
-		beam     = flag.Int("beam", 8, "SEE beam width (node filter)")
-		cand     = flag.Int("cand", 4, "SEE candidate filter width")
-		engine   = flag.String("engine", "see", "subproblem engine: see, exact, or portfolio (beam, then exact from the beam's score)")
-		exactBud = flag.Int64("exact-budget", 0, "exact engine node-expansion budget per subproblem (0 = default)")
-		explore  = flag.String("explore", "", `sweep the kernel over a fabric parameter grid instead of one machine, e.g. "n=8,6;m=8,6;k=8,6,4,2" or "type=rcp;neighbors=2,4" (see internal/dse.ParseGrid); prints the per-point results and the MII-vs-cost Pareto front`)
-		schedule = flag.Bool("schedule", false, "also run iterative modulo scheduling")
-		feedback = flag.Bool("feedback", false, "run the §5 feedback loop: race heuristic variants by achieved II (implies -schedule)")
-		emitAsm  = flag.Bool("emit", false, "emit the loadable program listing (implies -schedule)")
-		dmaProg  = flag.Bool("dma", false, "print the DMA stream programming")
-		pmap     = flag.Bool("map", false, "print the CN placement map")
-		verbose  = flag.Bool("v", false, "print per-level solutions")
-		jsonOut  = flag.Bool("json", false, "print the machine-readable result (same struct the hcad daemon returns)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut = flag.String("trace", "", "record the compile and write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
-		traceSum = flag.Bool("trace-summary", false, "record the compile and print the per-phase telemetry table")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run parses args, compiles, writes the report to stdout and any error
+// to stderr, and returns the exit status; main only exits with it, so
+// the deferred profile writers run on every path. The flags fill a
+// service.CompileRequest, which builds the DDG, machine and options
+// exactly as POST /v1/compile does.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hca", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		kernel   = fs.String("kernel", "fir2dim", "kernel name: "+strings.Join(kernels.Names(), ", "))
+		synth    = fs.Int("synth", 0, "use a synthetic DDG with this many ops instead of -kernel")
+		srcFile  = fs.String("src", "", "compile a kernel-description file (see internal/lang) instead of -kernel")
+		seed     = fs.Int64("seed", 1, "synthetic workload seed")
+		recLat   = fs.Int("reclat", 3, "synthetic recurrence latency (0 = none)")
+		n        = fs.Int("n", 8, "DSPFabric level-0 switch capacity N")
+		m        = fs.Int("m", 8, "DSPFabric level-1 MUX capacity M")
+		k        = fs.Int("k", 8, "DSPFabric leaf crossbar external inputs K")
+		rcp      = fs.Bool("rcp", false, "target the flat RCP ring instead of DSPFabric")
+		clusters = fs.Int("clusters", 8, "RCP cluster count")
+		nbrs     = fs.Int("neighbors", 2, "RCP ring neighborhood")
+		ports    = fs.Int("ports", 2, "RCP input ports per cluster")
+		beam     = fs.Int("beam", 8, "SEE beam width (node filter)")
+		cand     = fs.Int("cand", 4, "SEE candidate filter width")
+		engine   = fs.String("engine", "see", "subproblem engine: see, exact, or portfolio (beam, then exact from the beam's score)")
+		exactBud = fs.Int64("exact-budget", 0, "exact engine node-expansion budget per subproblem (0 = default)")
+		explore  = fs.String("explore", "", `sweep the kernel over a fabric parameter grid instead of one machine, e.g. "n=8,6;m=8,6;k=8,6,4,2" or "type=rcp;neighbors=2,4" (see internal/dse.ParseGrid); prints the per-point results and the MII-vs-cost Pareto front`)
+		schedule = fs.Bool("schedule", false, "also run iterative modulo scheduling")
+		feedback = fs.Bool("feedback", false, "run the §5 feedback loop: race heuristic variants by achieved II (implies -schedule)")
+		emitAsm  = fs.Bool("emit", false, "emit the loadable program listing (implies -schedule)")
+		dmaProg  = fs.Bool("dma", false, "print the DMA stream programming")
+		pmap     = fs.Bool("map", false, "print the CN placement map")
+		verbose  = fs.Bool("v", false, "print per-level solutions")
+		jsonOut  = fs.Bool("json", false, "print the machine-readable result (same struct the hcad daemon returns)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		traceOut = fs.String("trace", "", "record the compile and write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
+		traceSum = fs.Bool("trace-summary", false, "record the compile and print the per-phase telemetry table")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hca:", err)
+		return 1
+	}
+
+	// Deferred in this order, the heap profile is written after the CPU
+	// profile stops.
+	if *memProf != "" {
+		defer func() {
+			if err := writeHeapProfile(*memProf); err != nil {
+				fmt.Fprintln(stderr, "hca: memprofile:", err)
+			}
+		}()
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		addProfileTeardown(func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
+		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
-		path := *memProf
-		addProfileTeardown(func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "hca: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "hca: memprofile:", err)
-			}
-		})
-	}
-	defer stopProfiles()
 
-	var d *ddg.DDG
-	if *srcFile != "" {
+	req := service.CompileRequest{
+		Machine: service.MachineSpec{N: *n, M: *m, K: *k},
+		Options: service.OptionsSpec{Beam: *beam, Cand: *cand, Engine: *engine,
+			Schedule: *schedule || *emitAsm, Feedback: *feedback},
+	}
+	if *rcp {
+		req.Machine = service.MachineSpec{Type: "rcp", Clusters: *clusters, Neighbors: *nbrs, Ports: *ports}
+	}
+	switch {
+	case *srcFile != "":
 		text, err := os.ReadFile(*srcFile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		d, err = lang.Compile(string(text))
-		if err != nil {
-			fatal(err)
-		}
-	} else if *synth > 0 {
-		d = kernels.Synthetic(kernels.SynthConfig{Ops: *synth, Seed: *seed, RecLatency: *recLat})
-	} else {
-		kn, err := kernels.ByName(*kernel)
-		if err != nil {
-			fatal(err)
-		}
-		d = kn.Build()
+		req.Source = string(text)
+	case *synth != 0:
+		req.Synth = &service.SynthSpec{Ops: *synth, Seed: *seed, RecLatency: *recLat}
+	default:
+		req.Kernel = *kernel
 	}
+	d, mc, opt, err := req.Build()
+	if err != nil {
+		return fail(err)
+	}
+	opt.ExactBudget = *exactBud // CLI-only: the compile endpoint has no exact budget
 
 	if *explore != "" {
-		if err := runExplore(d, *explore, *engine, *beam, *cand, *exactBud, *jsonOut, *verbose); err != nil {
-			fatal(err)
+		if err := runExplore(stdout, stderr, d, *explore, opt, *jsonOut, *verbose); err != nil {
+			return fail(err)
 		}
-		return
-	}
-
-	var mc *machine.Config
-	if *rcp {
-		mc = machine.RCP(*clusters, *nbrs, *ports)
-	} else {
-		mc = machine.DSPFabric64(*n, *m, *k)
+		return 0
 	}
 
 	// Telemetry is on whenever either trace output is requested; the
@@ -153,89 +161,67 @@ func main() {
 		ctx = trace.With(ctx, rec)
 	}
 
-	opt := core.Options{
-		SEE:         see.Config{BeamWidth: *beam, CandWidth: *cand},
-		Engine:      *engine,
-		ExactBudget: *exactBud,
+	out, err := service.Compile(ctx, d, mc, opt, req.Options)
+	if err != nil {
+		return fail(err)
 	}
-	var res *core.Result
-	var sch *modsched.Schedule
-	variant := ""
-	if *feedback {
-		fb, err := driver.HCAWithFeedback(ctx, d, mc, opt)
-		if err != nil {
-			fatal(err)
-		}
-		res, sch, variant = fb.Result, fb.Schedule, fb.Variant
-	} else {
-		var err error
-		res, err = core.HCA(ctx, d, mc, opt)
-		if err != nil {
-			fatal(err)
-		}
-		if *schedule || *emitAsm {
-			sch, err = modsched.Run(ctx, res.Final, res.FinalCN, mc, modsched.Config{})
-			if err != nil {
-				fatal(err)
-			}
-		}
-	}
+	res, sch := out.Result, out.Schedule
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := rec.WriteChromeTrace(f); err != nil {
 			f.Close()
-			fatal(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
-	rep := report.Build(res, sch, variant, rec)
+	rep := report.Build(res, sch, out.Variant, rec)
 	if *jsonOut {
 		b, err := rep.JSON()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%s\n", b)
-		return
+		fmt.Fprintf(stdout, "%s\n", b)
+		return 0
 	}
-	if err := rep.WriteText(os.Stdout, *verbose); err != nil {
-		fatal(err)
+	if err := rep.WriteText(stdout, *verbose); err != nil {
+		return fail(err)
 	}
 	if *traceSum {
-		fmt.Println()
-		if err := rec.Summary().WriteText(os.Stdout); err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout)
+		if err := rec.Summary().WriteText(stdout); err != nil {
+			return fail(err)
 		}
 	}
 
 	if *pmap {
-		fmt.Println("\nplacement map (instructions per CN; sets | subgroups):")
+		fmt.Fprintln(stdout, "\nplacement map (instructions per CN; sets | subgroups):")
 		perCN := make([]int, mc.TotalCNs())
 		for _, cn := range res.CN {
 			perCN[cn]++
 		}
 		if mc.NumLevels() == 3 {
 			for set := 0; set < 4; set++ {
-				fmt.Printf("  set %d:", set)
+				fmt.Fprintf(stdout, "  set %d:", set)
 				for sub := 0; sub < 4; sub++ {
-					fmt.Printf("  [")
+					fmt.Fprintf(stdout, "  [")
 					for c := 0; c < 4; c++ {
-						fmt.Printf(" %2d", perCN[set*16+sub*4+c])
+						fmt.Fprintf(stdout, " %2d", perCN[set*16+sub*4+c])
 					}
-					fmt.Printf(" ]")
+					fmt.Fprintf(stdout, " ]")
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		} else {
 			for cn, k := range perCN {
 				if k > 0 {
-					fmt.Printf("  cn%-3d %d\n", cn, k)
+					fmt.Fprintf(stdout, "  cn%-3d %d\n", cn, k)
 				}
 			}
 		}
@@ -245,46 +231,36 @@ func main() {
 		p := dma.Analyze(d)
 		var sb strings.Builder
 		p.WriteText(&sb)
-		fmt.Println()
-		fmt.Print(sb.String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, sb.String())
 	}
 
 	if *emitAsm {
 		alloc, err := regalloc.Run(res.Final, sch, mc, 64)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("register allocation: max %d/%d rotating slots per CN, spills %d\n",
+		fmt.Fprintf(stdout, "register allocation: max %d/%d rotating slots per CN, spills %d\n",
 			alloc.MaxRegs, alloc.Capacity, len(alloc.Spilled))
 		prog, err := emit.Build(res, sch, alloc)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println()
-		if err := prog.WriteText(os.Stdout); err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout)
+		if err := prog.WriteText(stdout); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
 }
 
-// profileTeardowns flushes any -cpuprofile/-memprofile output. It is
-// package state (not just defers) because fatal exits with os.Exit,
-// which skips defers — error paths still deserve a usable profile.
-var profileTeardowns []func()
-
-func addProfileTeardown(fn func()) { profileTeardowns = append(profileTeardowns, fn) }
-
-// stopProfiles runs each teardown exactly once (it is reached both by
-// main's defer and by fatal).
-func stopProfiles() {
-	for _, fn := range profileTeardowns {
-		fn()
+// writeHeapProfile writes the heap profile of the final live set.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	profileTeardowns = nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hca:", err)
-	stopProfiles()
-	os.Exit(1)
+	defer f.Close()
+	runtime.GC() // materialize the final live set
+	return pprof.WriteHeapProfile(f)
 }

@@ -1,29 +1,20 @@
-// Package baseline implements the comparison points the paper's
-// evaluation implies but does not detail:
+// Package baseline implements the comparison point the paper's
+// evaluation implies but does not detail: FlatICA, single-level cluster
+// assignment over the K64 view of the fabric (every CN a cluster,
+// all-to-all potential connections). This is exactly the abstraction §4
+// argues is intractable: it must either track the MUX hierarchy
+// internally or ignore it; ours ignores it. Evaluate scores any flat CN
+// assignment, FlatICA's or HCA's, on identical terms (direct-source
+// wire demand per level, per-CN pressure, migration count). E4 runs
+// both.
 //
-//   - FlatICA — single-level cluster assignment over the K64 view of the
-//     fabric (every CN a cluster, all-to-all potential connections). This
-//     is exactly the abstraction §4 argues is intractable: it must either
-//     track the MUX hierarchy internally or ignore it; ours ignores it,
-//     so its results can violate the per-level wire budgets — which
-//     Evaluate quantifies.
-//   - Multilevel — a Chu-et-al-style hierarchical operation partitioning
-//     (coarsen by heaviest-edge matching, partition, refine by greedy
-//     moves), hierarchy-unaware and constraint-unaware, as the related
-//     work §6 characterizes it.
-//   - RoundRobin / Random — distribution-only strawmen.
-//
-// Every baseline returns a plain CN assignment, so the shared Evaluate
-// (wire-budget violations per level, per-CN pressure, migration count)
-// and the modulo scheduler (achieved II) compare all approaches and HCA
-// on identical terms.
+// The min-cut partitioner that seeds every HCA subproblem lives in
+// internal/partition.
 package baseline
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"repro/internal/ddg"
 	"repro/internal/graph"
@@ -78,184 +69,4 @@ func FlatICA(ctx context.Context, d *ddg.DDG, mc *machine.Config, cfg see.Config
 		out.CN[i] = int(res.Flow.Assignment(graph.NodeID(i)))
 	}
 	return out, nil
-}
-
-// Multilevel is a hierarchy-unaware multilevel partitioner in the style
-// of Chu, Fan and Mahlke (PLDI'03): coarsen the DDG by heaviest-edge
-// matching until few nodes remain, split the coarse graph over the CNs by
-// balanced greedy placement, then uncoarsen with a greedy
-// cut-reduction refinement at each step.
-func Multilevel(d *ddg.DDG, mc *machine.Config, seed int64) *Assignment {
-	ncn := mc.TotalCNs()
-	n := d.Len()
-	// Edge weights between node groups: count of dependences.
-	type pair struct{ a, b int }
-	adj := map[pair]int{}
-	d.G.Edges(func(e graph.Edge) {
-		a, b := int(e.From), int(e.To)
-		if a == b {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		adj[pair{a, b}]++
-	})
-
-	// Coarsening: union-find by repeated heaviest-edge matching.
-	parent := make([]int, n)
-	size := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-		size[i] = 1
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	groups := n
-	target := 4 * ncn
-	maxGroup := (n + ncn - 1) / ncn // keep clusters mergeable onto one CN
-	if maxGroup < 2 {
-		maxGroup = 2
-	}
-	for groups > target {
-		// Deterministic heaviest-edge pass.
-		type cand struct {
-			w    int
-			a, b int
-		}
-		var cands []cand
-		for p, w := range adj {
-			a, b := find(p.a), find(p.b)
-			if a != b && size[a]+size[b] <= maxGroup {
-				cands = append(cands, cand{w, a, b})
-			}
-		}
-		if len(cands) == 0 {
-			break
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].w != cands[j].w {
-				return cands[i].w > cands[j].w
-			}
-			if cands[i].a != cands[j].a {
-				return cands[i].a < cands[j].a
-			}
-			return cands[i].b < cands[j].b
-		})
-		merged := false
-		for _, c := range cands {
-			a, b := find(c.a), find(c.b)
-			if a == b || size[a]+size[b] > maxGroup {
-				continue
-			}
-			parent[b] = a
-			size[a] += size[b]
-			groups--
-			merged = true
-			if groups <= target {
-				break
-			}
-		}
-		if !merged {
-			break
-		}
-	}
-
-	// Initial placement: groups onto CNs, largest first, least-loaded CN.
-	groupIDs := map[int][]int{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		groupIDs[r] = append(groupIDs[r], i)
-	}
-	roots := make([]int, 0, len(groupIDs))
-	for r := range groupIDs {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		if len(groupIDs[roots[i]]) != len(groupIDs[roots[j]]) {
-			return len(groupIDs[roots[i]]) > len(groupIDs[roots[j]])
-		}
-		return roots[i] < roots[j]
-	})
-	cn := make([]int, n)
-	load := make([]int, ncn)
-	for _, r := range roots {
-		best := 0
-		for c := 1; c < ncn; c++ {
-			if load[c] < load[best] {
-				best = c
-			}
-		}
-		for _, nd := range groupIDs[r] {
-			cn[nd] = best
-		}
-		load[best] += len(groupIDs[r])
-	}
-
-	// Refinement: greedy single-node moves that reduce cut without
-	// unbalancing (classic FM-flavored pass, a few sweeps).
-	rng := rand.New(rand.NewSource(seed))
-	_ = rng
-	maxLoad := (n+ncn-1)/ncn + 1
-	for sweep := 0; sweep < 4; sweep++ {
-		improved := false
-		for i := 0; i < n; i++ {
-			cur := cn[i]
-			// Gain of moving i to the CN hosting most of its neighbors.
-			count := map[int]int{}
-			d.G.Out(graph.NodeID(i), func(e graph.Edge) { count[cn[e.To]]++ })
-			d.G.In(graph.NodeID(i), func(e graph.Edge) { count[cn[e.From]]++ })
-			best, bestGain := cur, 0
-			// Deterministic iteration over candidate CNs.
-			cands := make([]int, 0, len(count))
-			for c := range count {
-				cands = append(cands, c)
-			}
-			sort.Ints(cands)
-			for _, c := range cands {
-				if c == cur || load[c]+1 > maxLoad {
-					continue
-				}
-				gain := count[c] - count[cur]
-				if gain > bestGain {
-					best, bestGain = c, gain
-				}
-			}
-			if best != cur {
-				load[cur]--
-				load[best]++
-				cn[i] = best
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return &Assignment{Name: "multilevel", CN: cn}
-}
-
-// RoundRobin deals instructions to CNs in ID order.
-func RoundRobin(d *ddg.DDG, mc *machine.Config) *Assignment {
-	cn := make([]int, d.Len())
-	for i := range cn {
-		cn[i] = i % mc.TotalCNs()
-	}
-	return &Assignment{Name: "round-robin", CN: cn}
-}
-
-// Random assigns instructions uniformly at random (seeded).
-func Random(d *ddg.DDG, mc *machine.Config, seed int64) *Assignment {
-	rng := rand.New(rand.NewSource(seed))
-	cn := make([]int, d.Len())
-	for i := range cn {
-		cn[i] = rng.Intn(mc.TotalCNs())
-	}
-	return &Assignment{Name: "random", CN: cn}
 }

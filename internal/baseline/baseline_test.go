@@ -11,71 +11,6 @@ import (
 	"repro/internal/see"
 )
 
-func TestRoundRobinCovers(t *testing.T) {
-	d := kernels.Fir2Dim()
-	mc := machine.DSPFabric64(8, 8, 8)
-	a := RoundRobin(d, mc)
-	if len(a.CN) != d.Len() {
-		t.Fatal("wrong length")
-	}
-	for i, c := range a.CN {
-		if c != i%64 {
-			t.Errorf("CN[%d] = %d", i, c)
-		}
-	}
-}
-
-func TestRandomDeterministicPerSeed(t *testing.T) {
-	d := kernels.Fir2Dim()
-	mc := machine.DSPFabric64(8, 8, 8)
-	a := Random(d, mc, 7)
-	b := Random(d, mc, 7)
-	for i := range a.CN {
-		if a.CN[i] != b.CN[i] {
-			t.Fatal("same seed differs")
-		}
-	}
-	c := Random(d, mc, 8)
-	same := true
-	for i := range a.CN {
-		if a.CN[i] != c.CN[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds identical")
-	}
-}
-
-func TestMultilevelBalanced(t *testing.T) {
-	d := kernels.H264Deblock()
-	mc := machine.DSPFabric64(8, 8, 8)
-	a := Multilevel(d, mc, 1)
-	counts := map[int]int{}
-	for _, c := range a.CN {
-		if c < 0 || c >= 64 {
-			t.Fatalf("bad CN %d", c)
-		}
-		counts[c]++
-	}
-	maxLoad := (d.Len()+63)/64 + 1
-	for c, k := range counts {
-		if k > maxLoad {
-			t.Errorf("CN %d hosts %d > %d", c, k, maxLoad)
-		}
-	}
-}
-
-func TestMultilevelReducesCutVsRandom(t *testing.T) {
-	d := kernels.IDCTHor()
-	mc := machine.DSPFabric64(8, 8, 8)
-	ml := Evaluate(d, Multilevel(d, mc, 1).CN, mc)
-	rnd := Evaluate(d, Random(d, mc, 1).CN, mc)
-	if ml.Migrations >= rnd.Migrations {
-		t.Errorf("multilevel migrations %d >= random %d", ml.Migrations, rnd.Migrations)
-	}
-}
-
 func TestFlatICARuns(t *testing.T) {
 	d := kernels.Fir2Dim()
 	mc := machine.DSPFabric64(8, 8, 8)
@@ -168,24 +103,6 @@ func TestEvaluateDetectsWireViolations(t *testing.T) {
 	}
 }
 
-func TestHCALegalWhereBaselinesViolate(t *testing.T) {
-	// The headline qualitative claim: HCA produces zero wire violations by
-	// construction; random assignment of a dense kernel does not.
-	d := kernels.H264Deblock()
-	mc := machine.DSPFabric64(8, 8, 8)
-	h, err := core.HCA(context.Background(), kernels.H264Deblock(), mc, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm := Evaluate(d, h.CN, mc)
-	rm := Evaluate(d, Random(d, mc, 3).CN, mc)
-	if rm.WireViolations == 0 {
-		t.Error("random assignment of h264 unexpectedly legal")
-	}
-	t.Logf("HCA: %d violations, est II %d; random: %d violations, est II %d",
-		hm.WireViolations, hm.EstII, rm.WireViolations, rm.EstII)
-}
-
 func TestFlatICARingFallback(t *testing.T) {
 	// A dense kernel on the flat K64 view with 2-port CNs dead-ends the
 	// direct search; the ring fallback must still produce an assignment.
@@ -197,37 +114,5 @@ func TestFlatICARingFallback(t *testing.T) {
 	}
 	if len(a.CN) != d.Len() {
 		t.Fatal("incomplete assignment")
-	}
-}
-
-func TestMultilevelSingleNodeGroups(t *testing.T) {
-	// A graph with no edges cannot coarsen: every node is its own group.
-	d := ddg.New("iso")
-	for i := 0; i < 100; i++ {
-		d.AddConst(int64(i), "c")
-	}
-	mc := machine.DSPFabric64(8, 8, 8)
-	a := Multilevel(d, mc, 1)
-	counts := map[int]int{}
-	for _, c := range a.CN {
-		counts[c]++
-	}
-	maxLoad := (d.Len()+63)/64 + 1
-	for cn, k := range counts {
-		if k > maxLoad {
-			t.Errorf("CN %d hosts %d", cn, k)
-		}
-	}
-}
-
-func TestMultilevelDeterministic(t *testing.T) {
-	d := kernels.H264Deblock()
-	mc := machine.DSPFabric64(8, 8, 8)
-	a := Multilevel(d, mc, 5)
-	b := Multilevel(kernels.H264Deblock(), mc, 5)
-	for i := range a.CN {
-		if a.CN[i] != b.CN[i] {
-			t.Fatalf("nondeterministic at node %d", i)
-		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"repro/internal/machine"
 )
 
-// Metrics evaluates a flat CN assignment against the machine's real
-// hierarchical constraints — the judgment HCA passes by construction and
-// hierarchy-unaware approaches may fail.
+// Metrics evaluates a flat CN assignment against the machine's
+// per-level wire budgets, charging every communicated value to a direct
+// wire from its producer. It does not model forwarding through an
+// intermediate cluster, which HCA's mapper plans, so HCA's own legal
+// results can score wire violations too.
 type Metrics struct {
 	// MaxPerCN is the largest instruction count on one computation node
 	// (the single-issue II floor of the assignment).
@@ -20,10 +22,9 @@ type Metrics struct {
 	// producers (constants and induction values).
 	Migrations int
 	// WireViolations counts, over every level of the hierarchy, the
-	// groups or computation nodes whose distinct in-wire demand exceeds
-	// the level's budget — configurations the reconfigurable interconnect
-	// cannot realize without route-through copies the assignment never
-	// planned.
+	// groups or computation nodes whose distinct direct sources exceed
+	// the level's in-wire budget. Forwarding can relieve such demand, so
+	// a violation does not prove the assignment unroutable.
 	WireViolations int
 	// WorstOversubscription is the largest ratio of required to available
 	// in-wires at any group (1.0 = exactly fits).
@@ -40,8 +41,11 @@ type Metrics struct {
 // paths diverge, then consumes one in-wire (or crossbar line, or CN input
 // port at the leaf) of every nested group it descends through. Values
 // originating from the same source group at the divergence level are
-// optimistically assumed to share wires (the best any mapper could do),
-// so a violation here is a genuine infeasibility, not an artifact.
+// optimistically assumed to share wires. A value relayed through an
+// intermediate cluster is charged as if sent directly, so a violation
+// is unmet direct demand, not a proven infeasibility: HCA's
+// coherency-checked results score 3/0/0/19/8/6/30 on E4's seven
+// workloads. Telling whether a flat result is routable needs the mapper.
 func Evaluate(d *ddg.DDG, cn []int, mc *machine.Config) Metrics {
 	var m Metrics
 	perCN := map[int]int{}

@@ -94,6 +94,9 @@ func (o Options) Validate() error {
 	if _, err := EngineByName(o.Engine); err != nil {
 		return err
 	}
+	if o.ExactBudget < 0 {
+		return &see.OptionError{Field: "exact_budget", Value: int(o.ExactBudget), Reason: "must be >= 0 (0 selects the default)"}
+	}
 	return nil
 }
 
@@ -279,6 +282,9 @@ func HCA(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt Options) (*Res
 	if err := mc.Validate(); err != nil {
 		return nil, fmt.Errorf("hca: %w", err)
 	}
+	if err := CheckMachine(mc, "machine"); err != nil {
+		return nil, fmt.Errorf("hca: %w", err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -439,6 +445,26 @@ func levelParams(mc *machine.Config, level int) (maxIn, outWires, inWires int) {
 	return in, mc.Levels[level].OutWires, in
 }
 
+// CheckMachine rejects, with a typed error, a valid machine whose pattern
+// graphs HCA cannot build: a level with more groups than pg.MaxClusters,
+// or a level whose in-neighbor bound (levelParams) is 0. The error's
+// field is prefix, a dot and the machine parameter at fault ("clusters"
+// or "in_ports"). A level's ILI nodes are known only once its parent is
+// solved; solveLevel checks those.
+func CheckMachine(mc *machine.Config, prefix string) error {
+	for l, spec := range mc.Levels {
+		if spec.Groups > pg.MaxClusters {
+			return &see.OptionError{Field: prefix + ".clusters", Value: spec.Groups,
+				Reason: fmt.Sprintf("level %d exceeds the %d-cluster pattern-graph limit", l, pg.MaxClusters)}
+		}
+		if maxIn, _, _ := levelParams(mc, l); maxIn < 1 {
+			return &see.OptionError{Field: prefix + ".in_ports", Value: mc.CNInPorts,
+				Reason: fmt.Sprintf("level %d gets no in-wire: each CN needs a port beyond the one kept for forwarding", l)}
+		}
+	}
+	return nil
+}
+
 // buildTopology constructs the pattern graph of one subproblem: the
 // level's sibling groups (ring-restricted for RCP at level 0, otherwise
 // fully connected through the MUXes) plus the ILI's special nodes.
@@ -510,10 +536,16 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 	}
 	trace.Count(ctx, "hca.subproblems", 1)
 
-	// The leaf's external wire budget caps the inherited input nodes.
+	// The leaf's external wire budget caps the inherited input nodes,
+	// and the ILI's special nodes share the pattern graph's cluster slots
+	// with the level's groups.
 	if ili != nil && level == mc.NumLevels()-1 && len(ili.Inputs) > mc.Levels[level].InWires {
 		return fmt.Errorf("hca: subproblem %v: %d input wires exceed crossbar capacity %d",
 			path, len(ili.Inputs), mc.Levels[level].InWires)
+	}
+	if ili != nil && mc.Levels[level].Groups+len(ili.Inputs)+len(ili.Outputs) > pg.MaxClusters {
+		return fmt.Errorf("hca: subproblem %s: %d groups and %d ILI nodes exceed the %d-cluster pattern-graph limit",
+			pathString(path), mc.Levels[level].Groups, len(ili.Inputs)+len(ili.Outputs), pg.MaxClusters)
 	}
 
 	t := buildTopology(mc, level, path, ili)

@@ -60,8 +60,14 @@ func TestExpandTypedErrors(t *testing.T) {
 		{"bad engine", Grid{Engines: []string{"quantum"}}, "engine"},
 		{"flat axes on dspfabric", Grid{Clusters: []int{8}}, "grid.clusters"},
 		{"dsp axes on rcp", Grid{Type: "rcp", N: []int{8}}, "grid.n"},
+		{"flat axis on dspfabric", Grid{Neighbors: []int{3}}, "grid.clusters"},
+		{"dsp axis on linear", Grid{Type: "linear", OutPorts: []int{2}}, "grid.n"},
 		{"too many clusters", Grid{Type: "rcp", Clusters: []int{128}}, "grid.clusters"},
+		{"one cluster past the limit", Grid{Type: "linear", Clusters: []int{64, 65}}, "grid.clusters"},
+		{"one CN in-port", Grid{InPorts: []int{1}}, "grid.in_ports"},
 		{"invalid machine", Grid{N: []int{-3}}, "grid"},
+		{"ring neighborhood too wide", Grid{Type: "rcp", Neighbors: []int{8}}, "grid"},
+		{"memory CN out of range", Grid{Type: "rcp", MemCNs: [][]int{{8}}}, "grid"},
 	}
 	for _, tc := range cases {
 		_, err := tc.g.Expand()

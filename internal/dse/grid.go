@@ -24,7 +24,6 @@
 package dse
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -33,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/pg"
-	"repro/internal/see"
 )
 
 // Grid is a parameter sweep over machine.Config: one axis per
@@ -83,14 +81,6 @@ type Point struct {
 	coords []int
 }
 
-// axisOr returns the axis values, or the family default when empty.
-func axisOr(vs []int, def int) []int {
-	if len(vs) == 0 {
-		return []int{def}
-	}
-	return vs
-}
-
 // NumPoints returns how many points the grid expands to, from its axis
 // lengths alone: nothing is built or validated, so a point bound can be
 // checked before Expand allocates the cross product. A grid that mixes
@@ -111,107 +101,59 @@ func (g Grid) NumPoints() int {
 }
 
 // Expand validates the grid and expands it into its cross product of
-// points in canonical order: engines outermost, then the family's axes
-// in declared order, memory mixes innermost. Invalid values surface as
-// typed *see.OptionError (→ HTTP 400 at the service boundary).
+// points in canonical order: engines outermost, then the machine axes
+// in declared order, memory mixes innermost. An empty axis contributes
+// one 0, the family default; Machine.Build checks each point, so
+// invalid values surface as typed *see.OptionError (→ HTTP 400 at the
+// service boundary) under a "grid" field. g is not modified.
 func (g Grid) Expand() ([]Point, error) {
-	if g.Type == "" {
-		g.Type = "dspfabric"
-	}
-	engines := g.Engines
-	if len(engines) == 0 {
-		engines = []string{"see"}
-	}
-	for i, e := range engines {
-		if e == "" {
-			engines[i] = "see"
-			continue
-		}
+	for _, e := range g.Engines {
 		if _, err := core.EngineByName(e); err != nil {
 			return nil, err
 		}
 	}
-	mems := g.MemCNs
-	if len(mems) == 0 {
-		mems = [][]int{nil}
+	axes := [...][]int{g.N, g.M, g.K, g.InPorts, g.OutPorts, g.Clusters, g.Neighbors, g.Ports}
+	// coords[0] indexes the engines, coords[1:9] the axes and coords[9]
+	// the memory mixes; an empty axis has one position.
+	var dims, coords [len(axes) + 2]int
+	dims[0], dims[len(dims)-1] = max(len(g.Engines), 1), max(len(g.MemCNs), 1)
+	for i, a := range axes {
+		dims[i+1] = max(len(a), 1)
 	}
-
 	var pts []Point
-	add := func(mc *machine.Config, eng string, mem []int, coords []int) error {
-		if len(mem) > 0 {
-			mc.MemCNs = append([]int(nil), mem...)
-			mc.Name += "-mem" + joinInts(mem, ".")
-		}
-		if mc.Levels[0].Groups > 64 || mc.TotalCNs() > 64 {
-			return &see.OptionError{Field: "grid.clusters", Value: mc.TotalCNs(),
-				Reason: "exceeds the 64-cluster pattern-graph limit"}
-		}
-		if err := mc.Validate(); err != nil {
-			return &see.OptionError{Field: "grid", Str: mc.Name, Reason: err.Error()}
-		}
-		pts = append(pts, Point{Index: len(pts), Engine: eng, Machine: mc, coords: coords})
-		return nil
-	}
-
-	switch g.Type {
-	case "dspfabric":
-		if len(g.Clusters) > 0 || len(g.Neighbors) > 0 || len(g.Ports) > 0 {
-			return nil, &see.OptionError{Field: "grid.clusters", Value: len(g.Clusters) + len(g.Neighbors) + len(g.Ports),
-				Reason: "clusters/neighbors/ports axes are only meaningful for rcp or linear grids"}
-		}
-		ns, ms, ks := axisOr(g.N, 8), axisOr(g.M, 8), axisOr(g.K, 8)
-		ins, outs := axisOr(g.InPorts, 2), axisOr(g.OutPorts, 1)
-		for ei, eng := range engines {
-			for ni, n := range ns {
-				for mi, m := range ms {
-					for ki, k := range ks {
-						for ii, in := range ins {
-							for oi, out := range outs {
-								for xi, mem := range mems {
-									mc := machine.DSPFabric64(n, m, k)
-									if in != 2 || out != 1 {
-										mc.CNInPorts, mc.CNOutPorts = in, out
-										mc.Name += fmt.Sprintf("-p%d.%d", in, out)
-									}
-									if err := add(mc, eng, mem, []int{ei, ni, mi, ki, ii, oi, xi}); err != nil {
-										return nil, err
-									}
-								}
-							}
-						}
-					}
-				}
+	for {
+		var v [len(axes)]int
+		for i, a := range axes {
+			if len(a) > 0 {
+				v[i] = a[coords[i+1]]
 			}
 		}
-	case "rcp", "linear":
-		if len(g.N) > 0 || len(g.M) > 0 || len(g.K) > 0 || len(g.InPorts) > 0 || len(g.OutPorts) > 0 {
-			return nil, &see.OptionError{Field: "grid.n", Value: len(g.N) + len(g.M) + len(g.K) + len(g.InPorts) + len(g.OutPorts),
-				Reason: "n/m/k/in_ports/out_ports axes are only meaningful for dspfabric grids"}
+		m := Machine{Type: g.Type, N: v[0], M: v[1], K: v[2], InPorts: v[3], OutPorts: v[4],
+			Clusters: v[5], Neighbors: v[6], Ports: v[7]}
+		if len(g.MemCNs) > 0 {
+			m.MemCNs = g.MemCNs[coords[9]]
 		}
-		cls, nbs, ps := axisOr(g.Clusters, 8), axisOr(g.Neighbors, 2), axisOr(g.Ports, 2)
-		for ei, eng := range engines {
-			for ci, cl := range cls {
-				for bi, nb := range nbs {
-					for pi, p := range ps {
-						for xi, mem := range mems {
-							var mc *machine.Config
-							if g.Type == "rcp" {
-								mc = machine.RCP(cl, nb, p)
-							} else {
-								mc = machine.LinearArray(cl, nb, p)
-							}
-							if err := add(mc, eng, mem, []int{ei, ci, bi, pi, xi}); err != nil {
-								return nil, err
-							}
-						}
-					}
-				}
+		mc, err := m.Build("grid")
+		if err != nil {
+			return nil, err
+		}
+		eng := "see"
+		if len(g.Engines) > 0 && g.Engines[coords[0]] != "" {
+			eng = g.Engines[coords[0]]
+		}
+		pts = append(pts, Point{Index: len(pts), Engine: eng, Machine: mc, coords: append([]int(nil), coords[:]...)})
+		// Advance the innermost axis, carrying outward.
+		i := len(coords) - 1
+		for ; i >= 0; i-- {
+			if coords[i]++; coords[i] < dims[i] {
+				break
 			}
+			coords[i] = 0
 		}
-	default:
-		return nil, &see.OptionError{Field: "grid.type", Str: g.Type, Reason: "want dspfabric, rcp or linear"}
+		if i < 0 {
+			return pts, nil
+		}
 	}
-	return pts, nil
 }
 
 func joinInts(vs []int, sep string) string {

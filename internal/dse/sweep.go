@@ -32,6 +32,20 @@ type Options struct {
 	MaxPoints int
 }
 
+// Validate checks the search widths and the exact budget every point
+// solves with, through core.Options.Validate.
+func (o Options) Validate() error { return o.point("").Validate() }
+
+// point returns the options one point solves with under engine.
+func (o Options) point(engine string) core.Options {
+	return core.Options{
+		SEE:         see.Config{BeamWidth: o.Beam, CandWidth: o.Cand},
+		Engine:      engine,
+		ExactBudget: o.ExactBudget,
+		Memo:        o.Memo,
+	}
+}
+
 // PointResult is one grid point's outcome. Deduplicated points carry
 // the full result of their canonical sibling's solve.
 type PointResult struct {
@@ -143,6 +157,9 @@ func Sweep(ctx context.Context, d *ddg.DDG, g Grid, opt Options) (*Result, error
 		return nil, &see.OptionError{Field: "grid", Value: n,
 			Reason: "grid expands beyond the point bound"}
 	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	pts, err := g.Expand()
 	if err != nil {
 		return nil, err
@@ -177,10 +194,10 @@ func Sweep(ctx context.Context, d *ddg.DDG, g Grid, opt Options) (*Result, error
 
 	order := warmOrder(pts, solveIdx)
 
-	memo := opt.Memo
-	if memo == nil {
-		memo = core.NewMemo(0)
+	if opt.Memo == nil {
+		opt.Memo = core.NewMemo(0)
 	}
+	memo := opt.Memo
 	before := memo.Stats()
 
 	// Per-order-slot result slices: each worker writes only its own
@@ -190,12 +207,7 @@ func Sweep(ctx context.Context, d *ddg.DDG, g Grid, opt Options) (*Result, error
 	startT := time.Now()
 	ferr := par.ForEachCtx(ctx, len(order), func(oi int) {
 		p := &pts[order[oi]]
-		res, err := core.HCA(ctx, d, p.Machine, core.Options{
-			SEE:         see.Config{BeamWidth: opt.Beam, CandWidth: opt.Cand},
-			Engine:      p.Engine,
-			ExactBudget: opt.ExactBudget,
-			Memo:        memo,
-		})
+		res, err := core.HCA(ctx, d, p.Machine, opt.point(p.Engine))
 		solved[oi], serrs[oi] = res, err
 	})
 	if ferr != nil {

@@ -9,10 +9,12 @@ import (
 	"repro/internal/graph"
 )
 
-// maxClusters bounds the cluster count of one Topology so that cluster
-// sets fit in a single machine word. Every level of the paper's machines
-// is far below this (4 regular clusters + up to 2·8 special nodes).
-const maxClusters = 64
+// MaxClusters bounds the cluster count of one Topology, regular clusters
+// and special nodes together, so that cluster sets fit in a single
+// machine word. Every level of the paper's machines is far below this
+// (4 regular clusters + up to 2·8 special nodes); core.CheckMachine
+// turns away machines whose levels cannot fit.
+const MaxClusters = 64
 
 // Per-cluster counter fields, packed as one contiguous int32 block per
 // cluster inside Flow.cnt (struct-of-arrays): the load accounting the
@@ -118,8 +120,8 @@ type Flow struct {
 // NewFlow creates an empty assignment over t for d. Values carried by
 // input nodes start available at their input node.
 func NewFlow(t *Topology, d *ddg.DDG) *Flow {
-	if t.NumClusters() > maxClusters {
-		panic(fmt.Sprintf("pg: topology %q has %d clusters; Flow supports at most %d", t.Name, t.NumClusters(), maxClusters))
+	if t.NumClusters() > MaxClusters {
+		panic(fmt.Sprintf("pg: topology %q has %d clusters; Flow supports at most %d", t.Name, t.NumClusters(), MaxClusters))
 	}
 	vw := (d.Len() + 63) / 64
 	f := newShell()
@@ -286,7 +288,7 @@ func (f *Flow) RealArcs(fn func(from, to ClusterID, vals []ValueID)) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		fn(ClusterID(k>>arcShift), ClusterID(k&(maxClusters-1)), byArc[k])
+		fn(ClusterID(k>>arcShift), ClusterID(k&(MaxClusters-1)), byArc[k])
 	}
 }
 
@@ -298,7 +300,7 @@ func (f *Flow) RealArcs(fn func(from, to ClusterID, vals []ValueID)) {
 func (f *Flow) ForEachCopy(fn func(from, to ClusterID, v ValueID)) {
 	for i := range f.copyLog {
 		r := f.copyLog[i]
-		fn(ClusterID(r.arc>>arcShift), ClusterID(r.arc&(maxClusters-1)), ValueID(r.v))
+		fn(ClusterID(r.arc>>arcShift), ClusterID(r.arc&(MaxClusters-1)), ValueID(r.v))
 	}
 }
 
@@ -791,7 +793,7 @@ func (f *Flow) Verify() error {
 	distinct := make(map[ClusterID]map[ValueID]bool)
 	seen := make(map[int64]bool, len(f.copyLog))
 	for _, r := range f.copyLog {
-		x, y := ClusterID(r.arc>>arcShift), ClusterID(r.arc&(maxClusters-1))
+		x, y := ClusterID(r.arc>>arcShift), ClusterID(r.arc&(MaxClusters-1))
 		if !f.T.Potential(x, y) {
 			return fmt.Errorf("pg: real arc %d→%d has no potential arc", x, y)
 		}

@@ -61,7 +61,7 @@ const (
 )
 
 // undoEntry is one journal record, packed to 32 bytes: cluster IDs fit
-// an int8 (maxClusters is 64) and value IDs an int32.
+// an int8 (MaxClusters is 64) and value IDs an int32.
 type undoEntry struct {
 	op    undoOp
 	flags uint8

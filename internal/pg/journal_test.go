@@ -61,8 +61,8 @@ func diffFlows(a, b *Flow) string {
 	for i := range a.copyLog {
 		if a.copyLog[i] != b.copyLog[i] {
 			return fmt.Sprintf("copyLog[%d] %d→%d v%d != %d→%d v%d", i,
-				a.copyLog[i].arc>>arcShift, a.copyLog[i].arc&(maxClusters-1), a.copyLog[i].v,
-				b.copyLog[i].arc>>arcShift, b.copyLog[i].arc&(maxClusters-1), b.copyLog[i].v)
+				a.copyLog[i].arc>>arcShift, a.copyLog[i].arc&(MaxClusters-1), a.copyLog[i].v,
+				b.copyLog[i].arc>>arcShift, b.copyLog[i].arc&(MaxClusters-1), b.copyLog[i].v)
 		}
 	}
 	for w := range a.arcHas {

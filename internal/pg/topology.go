@@ -77,7 +77,7 @@ type Cluster struct {
 }
 
 // arcShift packs an ordered cluster pair into one arc key:
-// key = from<<arcShift | to. Valid because maxClusters = 1<<arcShift.
+// key = from<<arcShift | to. Valid because MaxClusters = 1<<arcShift.
 const arcShift = 6
 
 // Topology is the immutable part of a Pattern Graph: clusters, potential
@@ -129,8 +129,8 @@ func NewTopology(name string, n, issueSlots, maxIn, maxOut int) *Topology {
 	if n < 1 {
 		panic(fmt.Sprintf("pg: NewTopology: need >= 1 cluster, have %d", n))
 	}
-	if n > maxClusters {
-		panic(fmt.Sprintf("pg: NewTopology: %d clusters exceeds the %d-cluster limit", n, maxClusters))
+	if n > MaxClusters {
+		panic(fmt.Sprintf("pg: NewTopology: %d clusters exceeds the %d-cluster limit", n, MaxClusters))
 	}
 	if issueSlots < 1 {
 		panic("pg: NewTopology: issueSlots must be positive")
@@ -140,7 +140,7 @@ func NewTopology(name string, n, issueSlots, maxIn, maxOut int) *Topology {
 	}
 	t := &Topology{
 		Name: name, MaxIn: maxIn, MaxOut: maxOut, regular: n,
-		potMask: make([]uint64, maxClusters),
+		potMask: make([]uint64, MaxClusters),
 		carrier: make(map[ValueID][]ClusterID),
 	}
 	for i := 0; i < n; i++ {
@@ -162,7 +162,7 @@ func (t *Topology) addArc(from, to ClusterID) {
 	t.potMask[from] |= 1 << uint(to)
 	key := int32(from)<<arcShift | int32(to)
 	// arcIdx tracks the highest source cluster seen rather than being
-	// sized for maxClusters up front: a topology of n clusters needs
+	// sized for MaxClusters up front: a topology of n clusters needs
 	// n<<arcShift entries, a fraction of the 64<<arcShift worst case.
 	for int(key) >= len(t.arcIdx) {
 		t.arcIdx = append(t.arcIdx, -1)
@@ -238,8 +238,8 @@ func (t *Topology) AddOutputNode(carries []ValueID) ClusterID {
 }
 
 func (t *Topology) addSpecial(k Kind, carries []ValueID) ClusterID {
-	if len(t.clusters) >= maxClusters {
-		panic(fmt.Sprintf("pg: topology %q exceeds the %d-cluster limit", t.Name, maxClusters))
+	if len(t.clusters) >= MaxClusters {
+		panic(fmt.Sprintf("pg: topology %q exceeds the %d-cluster limit", t.Name, MaxClusters))
 	}
 	id := ClusterID(len(t.clusters))
 	t.clusters = append(t.clusters, Cluster{

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/dse"
 )
 
 // The full HTTP error surface: every failure mode maps to a specific
@@ -56,6 +58,18 @@ func TestHTTPErrorSurface(t *testing.T) {
 			method: "POST", path: "/v1/compile", body: `{"kernel":"fir2dim","machine":{"type":"quantum"}}`,
 			wantStatus: http.StatusBadRequest, wantField: "machine.type",
 			wantErr: "dspfabric, rcp or linear",
+		},
+		{
+			name:   "another family's machine field keeps its field",
+			method: "POST", path: "/v1/compile", body: `{"kernel":"fir2dim","machine":{"type":"rcp","n":4}}`,
+			wantStatus: http.StatusBadRequest, wantField: "machine.n",
+			wantErr: "does not take",
+		},
+		{
+			name:   "explore: negative beam keeps its field",
+			method: "POST", path: "/v1/explore", body: `{"kernel":"fir2dim","beam":-1}`,
+			wantStatus: http.StatusBadRequest, wantField: "BeamWidth",
+			wantErr: "must be positive",
 		},
 		{
 			name:   "unknown engine keeps its field",
@@ -133,6 +147,71 @@ func TestHTTPErrorSurface(t *testing.T) {
 				t.Errorf("error %q missing %q", eb.Error, tc.wantErr)
 			}
 		})
+	}
+}
+
+// Machines at and past what a pattern graph holds never take the
+// daemon down: each body gets a typed 400 at submission, a failed job
+// (422), a result, or for sweeps a point error, and the service answers
+// the next request. A panic on a worker goroutine would end this test
+// binary.
+func TestBoundaryMachinesKeepServiceUp(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	cases := []struct {
+		path, body string
+		status     []int  // accepted statuses
+		field      string // ErrorBody.Field of a 400
+	}{
+		{"/v1/compile", `{"kernel":"fir2dim","machine":{"type":"rcp","clusters":100}}`, []int{400}, "machine.clusters"},
+		{"/v1/compile", `{"kernel":"fir2dim","machine":{"type":"rcp","clusters":65}}`, []int{400}, "machine.clusters"},
+		{"/v1/compile", `{"kernel":"fir2dim","machine":{"type":"linear","clusters":65}}`, []int{400}, "machine.clusters"},
+		{"/v1/compile", `{"kernel":"fir2dim","machine":{"type":"rcp","clusters":64}}`, []int{200}, ""},
+		{"/v1/compile", `{"kernel":"fir2dim","machine":{"type":"linear","clusters":64}}`, []int{200}, ""},
+		{"/v1/compile", `{"kernel":"h264deblocking","machine":{"n":40}}`, []int{200, 422}, ""},
+		{"/v1/compile", `{"kernel":"h264deblocking","machine":{"n":64,"m":64,"k":64}}`, []int{200, 422}, ""},
+		{"/v1/explore", `{"kernel":"fir2dim","grid":{"in_ports":[1]}}`, []int{400}, "grid.in_ports"},
+		{"/v1/explore", `{"kernel":"fir2dim","grid":{"type":"rcp","clusters":[65]}}`, []int{400}, "grid.clusters"},
+		{"/v1/explore", `{"kernel":"h264deblocking","grid":{"n":[40]}}`, []int{200}, ""},
+	}
+	for _, tc := range cases {
+		var resp *http.Response
+		var b []byte
+		if tc.path == "/v1/explore" {
+			resp, b = postExplore(t, ts.URL, tc.body)
+		} else {
+			resp, b = mustPost(t, ts.Client(), ts.URL, tc.body)
+		}
+		ok := false
+		for _, st := range tc.status {
+			ok = ok || resp.StatusCode == st
+		}
+		if !ok {
+			t.Errorf("%s: status %d, want one of %v: %s", tc.body, resp.StatusCode, tc.status, b)
+		}
+		if tc.field != "" {
+			var eb ErrorBody
+			if err := json.Unmarshal(b, &eb); err != nil || eb.Field != tc.field {
+				t.Errorf("%s: error body %s, want field %q", tc.body, b, tc.field)
+			}
+		}
+		if tc.path == "/v1/explore" && resp.StatusCode == http.StatusOK {
+			var res dse.Result
+			if err := json.Unmarshal(b, &res); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range res.Points {
+				if !p.Legal && p.Error == "" {
+					t.Errorf("%s: point %d is neither legal nor an error", tc.body, p.Index)
+				}
+			}
+		}
+		if resp, b := mustPost(t, ts.Client(), ts.URL, `{"kernel":"fir2dim"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("after %s the service answered %d: %s", tc.body, resp.StatusCode, b)
+		}
 	}
 }
 

@@ -54,19 +54,18 @@ func (r *ExploreRequest) normalize() {
 }
 
 // work validates the sweep and builds it: the DDG, the validated grid
-// and the content key. maxPoints is the service's point bound. It is
-// checked from the grid's axis lengths before any point is built, so an
-// oversized grid costs nothing to turn away. Bad grids come back as
-// typed *see.OptionError values → HTTP 400.
+// and options, and the content key. maxPoints is the service's point
+// bound. It is checked from the grid's axis lengths before any point is
+// built, so an oversized grid costs nothing to turn away. Bad grids and
+// options come back as typed *see.OptionError values → HTTP 400.
 func (r ExploreRequest) work(maxPoints int) (*work, error) {
 	if n := r.Grid.NumPoints(); n > maxPoints {
 		return nil, fmt.Errorf("bad request: %w", &see.OptionError{
 			Field: "grid", Value: n,
 			Reason: fmt.Sprintf("grid expands to %d points, limit %d", n, maxPoints)})
 	}
-	if r.ExactBudget < 0 {
-		return nil, fmt.Errorf("bad request: %w", &see.OptionError{
-			Field: "exact_budget", Value: int(r.ExactBudget), Reason: "must be >= 0"})
+	if err := (dse.Options{Beam: r.Beam, Cand: r.Cand, ExactBudget: r.ExactBudget}).Validate(); err != nil {
+		return nil, fmt.Errorf("bad request: %w", err)
 	}
 	if _, err := r.Grid.Expand(); err != nil {
 		return nil, fmt.Errorf("bad request: %w", err)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ddg"
+	"repro/internal/dse"
 	"repro/internal/kernels"
 	"repro/internal/lang"
 	"repro/internal/machine"
@@ -88,37 +89,13 @@ type CompileRequest struct {
 }
 
 // normalize fills in defaults so that equivalent requests (e.g. beam 0
-// vs beam 8) canonicalize — and therefore cache — identically.
+// vs beam 8) canonicalize — and therefore cache — identically. The
+// machine needs none: the key hashes the machine.Config it builds.
 func (r *CompileRequest) normalize() {
-	if r.Machine.Type == "" {
-		r.Machine.Type = "dspfabric"
-	}
-	switch r.Machine.Type {
-	case "dspfabric":
-		if r.Machine.N == 0 {
-			r.Machine.N = 8
-		}
-		if r.Machine.M == 0 {
-			r.Machine.M = 8
-		}
-		if r.Machine.K == 0 {
-			r.Machine.K = 8
-		}
-	case "rcp", "linear":
-		if r.Machine.Clusters == 0 {
-			r.Machine.Clusters = 8
-		}
-		if r.Machine.Neighbors == 0 {
-			r.Machine.Neighbors = 2
-		}
-		if r.Machine.Ports == 0 {
-			r.Machine.Ports = 2
-		}
-	}
 	// Canonicalize the search widths through the see package's own
 	// defaulting so "beam 0" and "beam 8" hash — and therefore cache —
 	// identically. Negative widths are deliberately left alone here:
-	// buildOptions surfaces them as typed see.OptionError values, which
+	// Build surfaces them as typed see.OptionError values, which
 	// the HTTP layer maps to 400.
 	if r.Options.Beam >= 0 && r.Options.Cand >= 0 {
 		canon := see.Config{BeamWidth: r.Options.Beam, CandWidth: r.Options.Cand}.WithDefaults()
@@ -129,7 +106,7 @@ func (r *CompileRequest) normalize() {
 		r.Options.Schedule = true
 	}
 	// Canonicalize the engine selection so "" and "see" cache — and
-	// shard — identically. Unknown names are left alone: buildOptions
+	// shard — identically. Unknown names are left alone: Build
 	// surfaces them as typed see.OptionError values → HTTP 400.
 	if r.Options.Engine == "" {
 		r.Options.Engine = "see"
@@ -161,23 +138,14 @@ func contentKey(kind string, d *ddg.DDG, spec any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// work normalizes and validates the request and builds it: the DDG, the
-// machine model, the pipeline options and the content key. defaultEngine
-// fills an unset options.engine.
+// work builds the request for submission: the DDG, machine and options
+// from Build, and the content key over the options Build normalized.
+// defaultEngine fills an unset options.engine.
 func (r CompileRequest) work(defaultEngine string) (*work, error) {
 	if r.Options.Engine == "" {
 		r.Options.Engine = defaultEngine
 	}
-	r.normalize()
-	d, err := r.buildDDG()
-	if err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
-	}
-	mc, err := r.buildMachine()
-	if err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
-	}
-	opt, err := r.buildOptions()
+	d, mc, opt, err := r.Build()
 	if err != nil {
 		return nil, fmt.Errorf("bad request: %w", err)
 	}
@@ -208,10 +176,23 @@ func RequestKey(req CompileRequest) (string, error) {
 	return wk.key, nil
 }
 
-// buildOptions maps the request's option spec onto the core pipeline
-// options and validates them centrally; invalid values come back as
-// typed errors (see.OptionError) that the HTTP layer reports as 400.
-func (r *CompileRequest) buildOptions() (core.Options, error) {
+// Build normalizes r and builds what it compiles: the DDG, the machine
+// model (through dse.Machine) and the validated pipeline options.
+// Invalid values come back as typed *see.OptionError values, which the
+// HTTP layer reports as 400. The service and cmd/hca both build through
+// it, so they accept, reject and compile the same requests.
+func (r *CompileRequest) Build() (*ddg.DDG, *machine.Config, core.Options, error) {
+	r.normalize()
+	d, err := r.buildDDG()
+	if err != nil {
+		return nil, nil, core.Options{}, err
+	}
+	m := r.Machine
+	mc, err := dse.Machine{Type: m.Type, N: m.N, M: m.M, K: m.K,
+		Clusters: m.Clusters, Neighbors: m.Neighbors, Ports: m.Ports}.Build("machine")
+	if err != nil {
+		return nil, nil, core.Options{}, err
+	}
 	opt := core.Options{
 		SEE:                      see.Config{BeamWidth: r.Options.Beam, CandWidth: r.Options.Cand, DisableDedup: r.Options.DisableDedup},
 		DisableRematerialization: r.Options.DisableRemat,
@@ -221,9 +202,9 @@ func (r *CompileRequest) buildOptions() (core.Options, error) {
 		Engine:                   r.Options.Engine,
 	}
 	if err := opt.Validate(); err != nil {
-		return core.Options{}, err
+		return nil, nil, core.Options{}, err
 	}
-	return opt, nil
+	return d, mc, opt, nil
 }
 
 // buildDDG constructs and validates the request's DDG.
@@ -263,20 +244,4 @@ func (r *CompileRequest) buildDDG() (*ddg.DDG, error) {
 		}
 	}
 	return d, d.Validate()
-}
-
-// buildMachine constructs the request's machine model.
-func (r *CompileRequest) buildMachine() (*machine.Config, error) {
-	var mc *machine.Config
-	switch r.Machine.Type {
-	case "dspfabric":
-		mc = machine.DSPFabric64(r.Machine.N, r.Machine.M, r.Machine.K)
-	case "rcp":
-		mc = machine.RCP(r.Machine.Clusters, r.Machine.Neighbors, r.Machine.Ports)
-	case "linear":
-		mc = machine.LinearArray(r.Machine.Clusters, r.Machine.Neighbors, r.Machine.Ports)
-	default:
-		return nil, &see.OptionError{Field: "machine.type", Str: r.Machine.Type, Reason: "want dspfabric, rcp or linear"}
-	}
-	return mc, mc.Validate()
 }

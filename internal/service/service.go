@@ -592,8 +592,7 @@ func (s *Service) runJob(job *Job) {
 	s.journalJob(job, StateDone)
 }
 
-// compile runs the requested pipeline and renders its report: plain
-// HCA, HCA + modulo scheduling, or the full §5 feedback loop. A traced
+// compile runs the requested pipeline and renders its report. A traced
 // compile is recorded and the telemetry summary is folded into the
 // report.
 //
@@ -610,23 +609,29 @@ func (s *Service) compile(ctx context.Context, d *ddg.DDG, mc *machine.Config, o
 	} else if !opt.DisableMemo {
 		opt.Memo = s.memo
 	}
+	out, err := Compile(ctx, d, mc, opt, spec)
+	if err != nil {
+		return nil, err
+	}
+	return report.Build(out.Result, out.Schedule, out.Variant, rec).JSON()
+}
+
+// Compile runs the pipeline spec selects on what CompileRequest.Build
+// built: the full §5 feedback loop, or plain HCA, modulo-scheduled when
+// spec.Schedule is set. The service and cmd/hca both compile through it.
+func Compile(ctx context.Context, d *ddg.DDG, mc *machine.Config, opt core.Options, spec OptionsSpec) (*driver.ScheduledResult, error) {
 	if spec.Feedback {
-		fb, err := driver.HCAWithFeedback(ctx, d, mc, opt)
-		if err != nil {
-			return nil, err
-		}
-		return report.Build(fb.Result, fb.Schedule, fb.Variant, rec).JSON()
+		return driver.HCAWithFeedback(ctx, d, mc, opt)
 	}
 	res, err := core.HCA(ctx, d, mc, opt)
 	if err != nil {
 		return nil, err
 	}
-	var sch *modsched.Schedule
+	out := &driver.ScheduledResult{Result: res}
 	if spec.Schedule {
-		sch, err = modsched.Run(ctx, res.Final, res.FinalCN, mc, modsched.Config{})
-		if err != nil {
+		if out.Schedule, err = modsched.Run(ctx, res.Final, res.FinalCN, mc, modsched.Config{}); err != nil {
 			return nil, err
 		}
 	}
-	return report.Build(res, sch, "", rec).JSON()
+	return out, nil
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/dse"
 )
 
 func TestLRUCacheEviction(t *testing.T) {
@@ -116,6 +118,43 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 			t.Errorf("request %d collides with %d", i, prev)
 		}
 		seen[k] = i
+	}
+}
+
+// The keys of these requests are pinned: a change in how a request
+// builds its DDG, machine or options, or in how the key hashes them,
+// moves them, and a moved key orphans every result the caches and the
+// durable store hold under the old one.
+func TestRequestKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		req  CompileRequest
+		want string
+	}{
+		{CompileRequest{Kernel: "fir2dim"},
+			"f189f49d24bed644305dfb71d5e057d7b475c616309c1ec70b339fa94127d03c"},
+		{CompileRequest{Kernel: "h264deblocking", Machine: MachineSpec{N: 4, M: 4, K: 2}, Options: OptionsSpec{Schedule: true}},
+			"cd9e9c2022a812d2cf5549d7e3dcc2787f64b17b0b3b72a819ad549d393e4f0c"},
+		{CompileRequest{Kernel: "idcthor", Machine: MachineSpec{Type: "rcp"}, Options: OptionsSpec{Feedback: true}},
+			"cf9ebcdf0f2741cb8646283fa55f7878781298fcb3e676c31a6e60be167b3df6"},
+		{CompileRequest{Kernel: "mpeg2inter", Machine: MachineSpec{Type: "rcp", Clusters: 16, Neighbors: 3, Ports: 2}},
+			"149ec70000d1090a468f9df69dbd6ae314a0a190bcf584a3d0f1af3385e09f8f"},
+		{CompileRequest{Kernel: "fir2dim", Machine: MachineSpec{Type: "linear", Clusters: 8, Neighbors: 2, Ports: 3}, Options: OptionsSpec{Engine: "exact"}},
+			"33d005c1ce97c2349556745e889d93cb836bb9249871aa23c4c3aea396b31543"},
+		{CompileRequest{Synth: &SynthSpec{Ops: 128, Seed: 3, RecLatency: 3}, Options: OptionsSpec{Engine: "portfolio"}},
+			"181bdbd984702359d01a244732b6ffaaf80672fc330b282f5390e576def2b5bd"},
+	} {
+		if got, err := RequestKey(tc.req); err != nil || got != tc.want {
+			t.Errorf("%+v: key %s (%v), want %s", tc.req, got, err, tc.want)
+		}
+	}
+	explore := ExploreRequest{Kernel: "fir2dim", Beam: 4,
+		Grid: dse.Grid{Type: "rcp", Neighbors: []int{2, 4}, MemCNs: [][]int{nil, {0, 1}}}}
+	wk, err := explore.work(DefaultMaxExplorePoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "5e84af468a813c003bbfae24df42aad7d8ce5daa0d09bc5b1846beabfc48fe15"; wk.key != want {
+		t.Errorf("explore: key %s, want %s", wk.key, want)
 	}
 }
 
