@@ -25,8 +25,7 @@ vet:
 
 # hcalint enforces the repo's own invariants (ctx-first API, zero-alloc
 # hot paths, journal balance, span End, typed validation errors, flow
-# lifecycle, shared-capture discipline, memo key and memo protocol
-# discipline). See README "Static analysis".
+# lifecycle, shared-capture discipline). See README "Static analysis".
 lint:
 	$(GO) run ./cmd/hcalint ./...
 

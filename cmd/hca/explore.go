@@ -14,7 +14,9 @@ import (
 // runExplore handles -explore: parse the axis spec, sweep the kernel
 // over the grid with one shared subproblem memo, and print the
 // per-point results plus the MII-vs-cost Pareto front. opt carries the
-// search widths, the exact budget and the default engine axis.
+// search widths, the exact budget and the default engine axis. Failed
+// points are noted on stderr; when no point succeeded the note is the
+// returned error, so hca exits 1 as for a failed single compile.
 func runExplore(stdout, stderr io.Writer, d *ddg.DDG, spec string, opt core.Options, jsonOut, verbose bool) error {
 	g, err := dse.ParseGrid(spec)
 	if err != nil {
@@ -37,9 +39,23 @@ func runExplore(stdout, stderr io.Writer, d *ddg.DDG, spec string, opt core.Opti
 			return err
 		}
 		fmt.Fprintf(stdout, "%s\n", b)
+	} else {
+		writeSweep(stdout, res, verbose)
+	}
+	st := res.Stats
+	if st.Failed == 0 {
 		return nil
 	}
+	failed := fmt.Errorf("%d of %d points failed", st.Failed, st.Points)
+	if st.Failed == st.Points {
+		return failed
+	}
+	fmt.Fprintln(stderr, "hca:", failed)
+	return nil
+}
 
+// writeSweep prints the sweep as a per-point table and its Pareto front.
+func writeSweep(stdout io.Writer, res *dse.Result, verbose bool) {
 	st := res.Stats
 	fmt.Fprintf(stdout, "design-space sweep: %s, %d points (%d unique, %d deduped)\n",
 		res.Kernel, st.Points, st.Unique, st.Deduped)
@@ -72,14 +88,10 @@ func runExplore(stdout, stderr io.Writer, d *ddg.DDG, spec string, opt core.Opti
 	}
 	if len(res.Front) == 0 {
 		fmt.Fprintln(stdout, "\npareto front: empty (no legal point)")
-		return nil
+		return
 	}
 	fmt.Fprintln(stdout, "\npareto front (cost ascending):")
 	for _, f := range res.Front {
 		fmt.Fprintf(stdout, "  mii %-4d cost %-9d %s\n", f.MII, f.Cost, f.Machine)
 	}
-	if st.Failed > 0 {
-		fmt.Fprintf(stderr, "hca: %d of %d points failed\n", st.Failed, st.Points)
-	}
-	return nil
 }

@@ -60,11 +60,33 @@ func TestRejectsLikeDaemon(t *testing.T) {
 		{"-rcp -clusters 100", "machine.clusters"},
 		{"-beam -1 -explore n=8", "BeamWidth"},
 		{"-exact-budget -1", "exact_budget"},
+		{"-feedback -exact-budget -1", "exact_budget"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)
 		if code != 1 || !strings.Contains(stderr.String(), "invalid "+tc.field+" ") {
 			t.Errorf("hca %s: exit %d, stderr %q; want exit 1 naming %s", tc.args, code, stderr.String(), tc.field)
+		}
+	}
+}
+
+// A sweep whose every point fails exits 1 and says so, in text and in
+// -json mode, as a failed single compile does; each point's error names
+// that point's own machine.
+func TestExploreAllFailedExits1(t *testing.T) {
+	for _, args := range []string{
+		"-kernel h264deblocking -explore n=40,64",
+		"-kernel h264deblocking -explore n=40,64 -json",
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(args), &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "2 of 2 points failed") {
+			t.Errorf("hca %s: exit %d, stderr %q; want exit 1 with 2 of 2 points failed", args, code, stderr.String())
+		}
+		for _, n := range []string{"40", "64"} {
+			if !strings.Contains(stdout.String(), "subproblem 0,0 on dspfabric64-n"+n+"-m8-k8: ") {
+				t.Errorf("hca %s: no point error names dspfabric64-n%s-m8-k8:\n%s", args, n, stdout.String())
+			}
 		}
 	}
 }

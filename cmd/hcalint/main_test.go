@@ -99,16 +99,16 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("default selection dropped analyzers: %d != %d", len(everything), len(all))
 	}
 
-	subset, err := selectAnalyzers("flowlife, memodisc")
+	subset, err := selectAnalyzers("flowlife, sharecap")
 	if err != nil {
 		t.Fatalf("subset selection: %v", err)
 	}
-	if len(subset) != 2 || subset[0].Name != "flowlife" || subset[1].Name != "memodisc" {
+	if len(subset) != 2 || subset[0].Name != "flowlife" || subset[1].Name != "sharecap" {
 		names := make([]string, len(subset))
 		for i, a := range subset {
 			names[i] = a.Name
 		}
-		t.Errorf("subset selection got %v, want [flowlife memodisc]", names)
+		t.Errorf("subset selection got %v, want [flowlife sharecap]", names)
 	}
 
 	if _, err := selectAnalyzers("nosuch"); err == nil {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/analysis/flowlife"
 	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/journalbalance"
-	"repro/internal/analysis/memodisc"
 	"repro/internal/analysis/sharecap"
 	"repro/internal/analysis/spanend"
 )
@@ -38,7 +37,6 @@ func All() []Entry {
 		{Analyzer: flowlife.Analyzer, Fixtures: []string{"flowlife"}, Fire: "flowlife"},
 		{Analyzer: hotpathalloc.Analyzer, Fixtures: []string{"hotpathalloc"}, Fire: "hotpathalloc"},
 		{Analyzer: journalbalance.Analyzer, Fixtures: []string{"journalbalance"}, Fire: "journalbalance"},
-		{Analyzer: memodisc.Analyzer, Fixtures: []string{"memodisc"}, Fire: "memodisc"},
 		{Analyzer: sharecap.Analyzer, Fixtures: []string{"sharecap", "sharecap/internal/see"}, Fire: "sharecap"},
 		{Analyzer: spanend.Analyzer, Fixtures: []string{"spanend"}, Fire: "spanend"},
 	}

@@ -31,23 +31,66 @@ func TestEngineByName(t *testing.T) {
 	}
 }
 
+// TestAttemptKeyEngineDiscriminator: every option that shapes an attempt
+// changes its memo key, so no attempt replays another's result, and
+// nothing that leaves the attempt alone does, so structurally identical
+// subproblems share across machines, paths and variants.
 func TestAttemptKeyEngineDiscriminator(t *testing.T) {
 	d := kernels.Synthetic(kernels.SynthConfig{Ops: 16, Seed: 9, RecLatency: 2})
-	f := pg.NewFlow(engineTopo(4, 4, 8), d)
-	f.MIIRecStatic = d.MIIRec()
 	ws := engineWS(d.Len())
-	cfg := see.Config{}
-	base := Options{ddgFP: d.Fingerprint()}
-	exactOpt := base
-	exactOpt.Engine = "exact"
-	kSee := attemptKeyFor(base, f, ws, cfg, 0, false)
-	kExact := attemptKeyFor(exactOpt, f, ws, cfg, 0, false)
-	if kSee == kExact {
-		t.Fatal("beam and exact attempts share a memo key: cross-engine replay possible")
+	flowOn := func(topo *pg.Topology) *pg.Flow {
+		f := pg.NewFlow(topo, d)
+		f.MIIRecStatic = d.MIIRec()
+		return f
 	}
-	kSee.Engine, kSee.Budget = kExact.Engine, kExact.Budget
-	if kSee != kExact {
-		t.Error("keys differ beyond the engine discriminator: content address drifted")
+	base := flowOn(engineTopo(4, 4, 8))
+	// attempt is one ladder attempt's inputs, as solveLevel passes them.
+	type attempt struct {
+		opt   Options
+		start *pg.Flow
+		cfg   see.Config
+		rung  int
+		ring  bool
+	}
+	keyOf := func(change func(*attempt)) attemptKey {
+		a := attempt{opt: Options{ddgFP: d.Fingerprint()}, start: base}
+		change(&a)
+		return attemptKeyFor(a.opt, a.start, ws, a.cfg, a.rung, a.ring)
+	}
+	ref := keyOf(func(*attempt) {})
+	exactRef := keyOf(func(a *attempt) { a.opt.Engine = "exact" })
+	rung1 := keyOf(func(a *attempt) { a.rung = 1 })
+	for _, c := range []struct {
+		name   string
+		from   attemptKey
+		change func(*attempt)
+		same   bool
+	}{
+		{name: "exact engine", from: ref, change: func(a *attempt) { a.opt.Engine = "exact" }},
+		{name: "portfolio engine", from: ref, change: func(a *attempt) { a.opt.Engine = "portfolio" }},
+		{name: "portfolio vs exact", from: exactRef, change: func(a *attempt) { a.opt.Engine = "portfolio" }},
+		{name: "exact budget", from: exactRef, change: func(a *attempt) { a.opt.Engine, a.opt.ExactBudget = "exact", 512 }},
+		{name: "scheduling-aware at rung 0", from: ref, change: func(a *attempt) { a.opt.SchedulingAware = true }},
+		{name: "DisableDedup", from: ref, change: func(a *attempt) { a.cfg.DisableDedup = true }},
+		{name: "DisableRematerialization", from: ref, change: func(a *attempt) { a.opt.DisableRematerialization = true }},
+		{name: "ring retry", from: ref, change: func(a *attempt) { a.ring = true }},
+		{name: "retry rung", from: ref, change: func(a *attempt) { a.rung = 1 }},
+		{name: "beam width", from: ref, change: func(a *attempt) { a.cfg.BeamWidth = 16 }},
+		{name: "cand width", from: ref, change: func(a *attempt) { a.cfg.CandWidth = 8 }},
+		{name: "topology name", from: ref, same: true, change: func(a *attempt) {
+			topo := pg.NewTopology("another-machine-l1-[3]", 4, 4, 8, 0)
+			topo.AllToAll()
+			a.start = flowOn(topo)
+		}},
+		{name: "default widths spelled out", from: ref, same: true, change: func(a *attempt) {
+			a.cfg.BeamWidth, a.cfg.CandWidth = 8, 4
+		}},
+		{name: "exact budget under the beam", from: ref, same: true, change: func(a *attempt) { a.opt.ExactBudget = 512 }},
+		{name: "scheduling-aware past rung 0", from: rung1, same: true, change: func(a *attempt) { a.rung, a.opt.SchedulingAware = 1, true }},
+	} {
+		if got := keyOf(c.change); (got == c.from) != c.same {
+			t.Errorf("%s: key changed = %v, want %v", c.name, got != c.from, !c.same)
+		}
 	}
 }
 
@@ -272,13 +315,13 @@ func TestHCAExactReportsGap(t *testing.T) {
 }
 
 // A relaxed-mode exact result must never replay into a strict-mode beam
-// solve through a shared memo: with the engine discriminator in the
-// attempt key, a strict beam run against a memo pre-populated by an
+// solve through a shared memo: with the engine's name in the attempt
+// key, a strict beam run against a memo pre-populated by an
 // exact run is byte-identical to a fresh strict beam run.
 func TestMemoNoCrossEngineReplay(t *testing.T) {
 	d := kernels.Synthetic(kernels.SynthConfig{Ops: 24, Seed: 3, RecLatency: 2})
 	mc := machine.DSPFabric64(8, 8, 8)
-	strict := func(memo SubproblemMemo) *Result {
+	strict := func(memo *Memo) *Result {
 		t.Helper()
 		res, err := HCA(context.Background(), d, mc, Options{
 			SEE:  see.Config{DisableDedup: true}, // strict reproduction mode

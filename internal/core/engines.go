@@ -29,31 +29,6 @@ import (
 // objective score. Pass-through routing of ILI values stays in the
 // core attempt layer above (runAttempt), identically for every engine.
 
-// Engine discriminator values for AttemptKey.Engine. The memo must
-// never replay one engine's result into another engine's attempt —
-// most acutely, a relaxed exact result into a strict-mode beam solve —
-// so the key carries the engine identity.
-const (
-	engineSee uint8 = iota
-	engineExact
-	enginePortfolio
-
-	numEngines // count of discriminator values, for per-engine counters
-)
-
-// engineTag maps a discriminator back onto its registry name, for
-// observability surfaces (per-engine memo stats).
-func engineTag(e uint8) string {
-	switch e {
-	case engineExact:
-		return "exact"
-	case enginePortfolio:
-		return "portfolio"
-	default:
-		return "see"
-	}
-}
-
 // EngineResult is one engine's solution for one subproblem.
 type EngineResult struct {
 	// Flow is the committed solution (caller-owned).
@@ -66,7 +41,8 @@ type EngineResult struct {
 	Proved bool
 	Bound  float64
 	// Winner names the engine that produced Flow; for the portfolio it
-	// is the step whose flow was kept ("see" or "exact").
+	// is the step whose flow was kept ("see" or "exact"), and for a
+	// min-cut partition seed that beat the ladder it is "seed".
 	Winner string
 }
 

@@ -56,7 +56,7 @@ type Options struct {
 	// across its variant race, and the compilation service hoists one
 	// process-wide instance across requests. Custom SEE.Criteria cannot
 	// be content-addressed (they are closures), so they bypass the memo.
-	Memo SubproblemMemo
+	Memo *Memo
 	// DisableMemo turns off subproblem memoization entirely (ablation;
 	// results are bit-identical either way, only the work repeats).
 	DisableMemo bool
@@ -114,18 +114,6 @@ func (o Options) engine() Engine {
 		return o.eng
 	}
 	return beamEngine{}
-}
-
-// engineID maps the selection onto the memo key discriminator.
-func (o Options) engineID() uint8 {
-	switch o.Engine {
-	case "exact":
-		return engineExact
-	case "portfolio":
-		return enginePortfolio
-	default:
-		return engineSee
-	}
 }
 
 // LevelSolution records one solved subproblem for reports and coherency
@@ -574,13 +562,13 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 		seeCfg = withCriticalCopyCriterion(seeCfg, d, opt.crit)
 	}
 	ladder := retryLadder(seeCfg)
-	var best attemptOutcome
-	var bestEntry *MemoEntry
+	var best *EngineResult
+	var bestEntry *memoEntry
 	var err error
 	for i, cfg := range append(ladder, ladder[1]) {
 		// A cancelled attempt ends the ladder: later rungs would only
 		// fail the same way.
-		if best.flow != nil || ctx.Err() != nil {
+		if best != nil || ctx.Err() != nil {
 			break
 		}
 		start := flow
@@ -593,21 +581,21 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 			}
 		}
 		// Each attempt runs behind the subproblem memo: a verified hit
-		// returns the committed solution without re-running the beam
-		// search (and, via the entry, without re-running the mapper).
-		var key AttemptKey
+		// returns the committed solution without re-running the engine
+		// (and, via the entry, without re-running the mapper).
+		var key attemptKey
 		if opt.Memo != nil {
 			key = attemptKeyFor(opt, start, ws, cfg, rung, ring)
 		}
-		out, entry := solveAttempt(ctx, opt.Memo, key, opt.engine(), start, ws, cfg)
+		out, entry, aerr := opt.Memo.attempt(ctx, key, opt.engine(), start, ws, cfg)
 		if ring {
 			// The ring-reserved start clone is consumed by the attempt
 			// (results are materialized copies, and the memo retains
 			// only the topology); retire it to the pg slabs.
 			start.Release()
 		}
-		if out.err != nil {
-			err = out.err
+		if aerr != nil {
+			err = aerr
 			continue
 		}
 		best, bestEntry = out, entry
@@ -622,10 +610,10 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 	// estimated MII (then fewer copies) wins.
 	if opt.useSeed {
 		if seed := partitionSeed(ctx, flow, ws, opt.crit); seed != nil {
-			if best.flow == nil || betterFlow(seed, best.flow) {
+			if best == nil || betterFlow(seed, best.Flow) {
 				// The seed carries no optimality certificate: winning on
 				// the MII-first tiebreak does not bound the objective.
-				best = attemptOutcome{flow: seed, engine: "seed"}
+				best = &EngineResult{Flow: seed, Winner: "seed"}
 				bestEntry = nil
 				sp.SetBool("seed_won", true)
 			} else {
@@ -633,27 +621,25 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 			}
 		}
 	}
-	if best.flow == nil {
+	if best == nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr // cancelled while the seed ran
 		}
-		return fmt.Errorf("hca: subproblem %s: %w", pathString(path), err)
+		// The attempts' errors name no machine (they may be memo
+		// replays of another machine's attempt), so the wrapper does.
+		return fmt.Errorf("hca: subproblem %s on %s: %w", pathString(path), mc.Name, err)
 	}
-	if best.flow != flow {
+	if best.Flow != flow {
 		// The pristine start flow never wins the ladder (attempt results
 		// and partition seeds are materialized clones), so its arrays go
 		// back to the pg slabs here instead of through the GC.
 		flow.Release()
 	}
-	flow = best.flow
-	res.addStats(best.stats)
-	winner := best.engine
-	if winner == "" {
-		winner = "see" // legacy/fallback paths default to the beam
-	}
-	res.noteWin(winner, best.proved, best.score, best.bound)
-	sp.SetStr("winner_engine", winner)
-	if best.proved {
+	flow = best.Flow
+	res.addStats(best.Stats)
+	res.noteWin(best.Winner, best.Proved, best.Score, best.Bound)
+	sp.SetStr("winner_engine", best.Winner)
+	if best.Proved {
 		sp.SetBool("proved", true)
 	}
 	if err := flow.Verify(); err != nil {
@@ -661,19 +647,14 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 	}
 
 	_, outW, inW := levelParams(mc, level)
-	var mapping *mapper.Result
-	if bestEntry != nil {
-		mapping = bestEntry.Mapping(outW, inW)
-	}
+	mapping := bestEntry.mapped(outW, inW)
 	if mapping == nil {
 		m, merr := mapper.Map(ctx, flow, outW, inW)
 		if merr != nil {
 			return fmt.Errorf("hca: subproblem %s: %w", pathString(path), merr)
 		}
 		mapping = m
-		if bestEntry != nil {
-			bestEntry.AttachMapping(outW, inW, mapping)
-		}
+		bestEntry.attach(outW, inW, mapping)
 	}
 	if err := mapping.Verify(flow, outW, inW); err != nil {
 		return fmt.Errorf("hca: subproblem %s: %w", pathString(path), err)
@@ -684,7 +665,7 @@ func solveLevel(ctx context.Context, res *Result, d *ddg.DDG, mc *machine.Config
 	sp.SetInt("wire_load", int64(mapping.MaxWireLoad))
 	sp.SetInt("pollution", int64(mapping.Pollution))
 
-	ls := &LevelSolution{Level: level, Path: append([]int(nil), path...), Flow: flow, Mapping: mapping, Stats: best.stats}
+	ls := &LevelSolution{Level: level, Path: append([]int(nil), path...), Flow: flow, Mapping: mapping, Stats: best.Stats}
 	res.addLevel(ls)
 
 	if level == mc.NumLevels()-1 {

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/pg"
+	"repro/internal/see"
 )
 
 // resultSignature serializes everything downstream consumers read from a
@@ -102,81 +104,147 @@ func TestMemoBypassedForCustomCriteria(t *testing.T) {
 	}
 }
 
-// TestMemoSingleFlight: concurrent Acquires of one key elect exactly one
-// leader; followers block until Complete and then see the published
-// entry.
+// memoSubproblem returns a start flow and working set for driving
+// Memo.attempt directly.
+func memoSubproblem(t *testing.T, issue int) (*pg.Flow, []graph.NodeID) {
+	t.Helper()
+	topo := pg.NewTopology("memo-test", 4, issue, 8, 0)
+	topo.AllToAll()
+	d := kernels.Synthetic(kernels.SynthConfig{Ops: 16, Seed: 5, RecLatency: 2})
+	return pg.NewFlow(topo, d), []graph.NodeID{1, 2, 3}
+}
+
+// engineFunc is an Engine whose Solve is a test's attempt body.
+type engineFunc func() (*EngineResult, error)
+
+func (engineFunc) Name() string { return "test" }
+
+func (f engineFunc) Solve(context.Context, *pg.Flow, []graph.NodeID, see.Config) (*EngineResult, error) {
+	return f()
+}
+
+// deadEnd is an engine that fails the way a dead-ended search does,
+// counting its runs.
+func deadEnd(runs *atomic.Int32) engineFunc {
+	return func() (*EngineResult, error) {
+		runs.Add(1)
+		return nil, errors.New("dead end")
+	}
+}
+
+// TestMemoSingleFlight: concurrent attempts of one key run it exactly
+// once; the others wait for the leader and get its published outcome.
 func TestMemoSingleFlight(t *testing.T) {
 	m := NewMemo(0)
-	key := AttemptKey{DDG: "x", Beam: 8, Cand: 4}
+	start, ws := memoSubproblem(t, 16)
+	key := attemptKey{DDG: "x", Beam: 8, Cand: 4, Engine: "see"}
 	const workers = 16
-	var leaders int32
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	var runs atomic.Int32
 	release := make(chan struct{})
+	run := engineFunc(func() (*EngineResult, error) {
+		runs.Add(1)
+		<-release
+		return nil, errors.New("dead end")
+	})
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			e, leader, err := m.Acquire(context.Background(), key)
-			if err != nil {
-				t.Errorf("acquire: %v", err)
-				return
-			}
-			if leader {
-				mu.Lock()
-				leaders++
-				mu.Unlock()
-				<-release
-				e.fill(attemptOutcome{err: errors.New("dead end")}, nil, nil)
-				m.Complete(key, e)
-				return
-			}
-			if !e.ok || !e.failed || e.errMsg != "dead end" {
-				t.Errorf("follower saw unpublished entry: ok=%v failed=%v msg=%q", e.ok, e.failed, e.errMsg)
-			}
-		}()
+			_, _, errs[i] = m.attempt(context.Background(), key, run, start, ws, see.Config{})
+		}(i)
 	}
 	close(release)
 	wg.Wait()
-	if leaders != 1 {
-		t.Fatalf("%d leaders, want exactly 1", leaders)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("attempt ran %d times, want exactly 1", n)
+	}
+	for i, err := range errs {
+		if err == nil || err.Error() != "dead end" {
+			t.Errorf("caller %d got %v, want the leader's dead end", i, err)
+		}
+	}
+	if st := m.Stats(); st.Misses != 1 || st.Hits != workers-1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 miss, %d hits, 1 entry", st, workers-1)
 	}
 }
 
 // TestMemoFollowerCancellation: a follower whose context dies while the
-// leader computes gets the context error instead of blocking forever.
+// leader computes gets the context error instead of blocking forever,
+// and does not run the attempt itself.
 func TestMemoFollowerCancellation(t *testing.T) {
 	m := NewMemo(0)
-	key := AttemptKey{DDG: "y"}
-	e, leader, err := m.Acquire(context.Background(), key)
-	if err != nil || !leader {
-		t.Fatalf("leader acquire: leader=%v err=%v", leader, err)
-	}
+	start, ws := memoSubproblem(t, 16)
+	key := attemptKey{DDG: "y", Engine: "see"}
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error)
+	go func() {
+		_, _, err := m.attempt(context.Background(), key, engineFunc(func() (*EngineResult, error) {
+			close(entered)
+			<-release
+			return nil, errors.New("dead end")
+		}), start, ws, see.Config{})
+		done <- err
+	}()
+	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := m.Acquire(ctx, key); !errors.Is(err, context.Canceled) {
+	var runs atomic.Int32
+	if _, _, err := m.attempt(ctx, key, deadEnd(&runs), start, ws, see.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower err = %v, want context.Canceled", err)
 	}
-	m.Abandon(key, e)
-	// After Abandon the key is free again: the next Acquire leads.
-	if _, leader, err := m.Acquire(context.Background(), key); err != nil || !leader {
-		t.Fatalf("post-abandon acquire: leader=%v err=%v", leader, err)
+	if runs.Load() != 0 {
+		t.Fatal("a cancelled follower ran the attempt")
+	}
+	close(release)
+	if err := <-done; err == nil || err.Error() != "dead end" {
+		t.Fatalf("leader err = %v", err)
+	}
+	if st := m.Stats(); st.Entries != 1 || st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want the leader's one miss and entry", st)
 	}
 }
 
-// TestMemoLRUBound: the completed-entry count never exceeds the cap, and
-// evicted keys recompute (a fresh Acquire leads again).
+// TestMemoLeaderCancellation: a leader whose context ends inside its
+// attempt publishes nothing: the next identical attempt leads again, and
+// the entry count never includes the cancelled attempt.
+func TestMemoLeaderCancellation(t *testing.T) {
+	m := NewMemo(0)
+	start, ws := memoSubproblem(t, 16)
+	key := attemptKey{DDG: "z", Engine: "see"}
+	ctx, cancel := context.WithCancel(context.Background())
+	_, entry, err := m.attempt(ctx, key, engineFunc(func() (*EngineResult, error) {
+		cancel() // the search notices the cancellation and gives up
+		return nil, ctx.Err()
+	}), start, ws, see.Config{})
+	if !errors.Is(err, context.Canceled) || entry != nil {
+		t.Fatalf("cancelled leader: err %v, entry %v; want context.Canceled and no entry", err, entry)
+	}
+	if st := m.Stats(); st.Entries != 0 {
+		t.Fatalf("entries = %d after a cancelled leader, want 0", st.Entries)
+	}
+	var runs atomic.Int32
+	if _, _, err := m.attempt(context.Background(), key, deadEnd(&runs), start, ws, see.Config{}); err == nil || runs.Load() != 1 {
+		t.Fatalf("the next attempt did not lead: err %v, %d runs", err, runs.Load())
+	}
+	if st := m.Stats(); st.Entries != 1 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("stats %+v after the re-led attempt, want 1 entry and 2 misses", st)
+	}
+}
+
+// TestMemoLRUBound: the published-entry count never exceeds the cap, and
+// evicted keys recompute (a fresh attempt leads again).
 func TestMemoLRUBound(t *testing.T) {
 	m := NewMemo(2)
 	ctx := context.Background()
+	start, ws := memoSubproblem(t, 16)
+	var runs atomic.Int32
 	for i := 0; i < 5; i++ {
-		k := AttemptKey{DDG: fmt.Sprint(i)}
-		e, leader, err := m.Acquire(ctx, k)
-		if err != nil || !leader {
-			t.Fatalf("key %d: leader=%v err=%v", i, leader, err)
-		}
-		e.fill(attemptOutcome{err: errors.New("e")}, nil, nil)
-		m.Complete(k, e)
+		m.attempt(ctx, attemptKey{DDG: fmt.Sprint(i), Engine: "see"}, deadEnd(&runs), start, ws, see.Config{})
+	}
+	if runs.Load() != 5 {
+		t.Fatalf("%d runs for 5 distinct keys", runs.Load())
 	}
 	st := m.Stats()
 	if st.Entries != 2 {
@@ -185,29 +253,50 @@ func TestMemoLRUBound(t *testing.T) {
 	if st.Evictions != 3 {
 		t.Fatalf("evictions = %d, want 3", st.Evictions)
 	}
-	if _, leader, _ := m.Acquire(ctx, AttemptKey{DDG: "0"}); !leader {
+	m.attempt(ctx, attemptKey{DDG: "0", Engine: "see"}, deadEnd(&runs), start, ws, see.Config{})
+	if runs.Load() != 6 {
 		t.Fatal("evicted key did not re-lead")
 	}
 }
 
-// TestMemoFailSafeCompare: a key collision (same AttemptKey, different
-// actual subproblem) must be caught by the full compare and answered
-// with a local solve, never with the cached flow.
+// TestMemoFailSafeCompare: a key collision (same key, different actual
+// subproblem) must be caught by the full compare and answered with a
+// local solve, never with the cached flow, and must leave the cache
+// alone.
 func TestMemoFailSafeCompare(t *testing.T) {
-	ta := pg.NewTopology("a", 4, 16, 8, 0)
-	ta.AllToAll()
-	tb := pg.NewTopology("b", 4, 8, 8, 0) // different issue slots
-	tb.AllToAll()
-	e := &MemoEntry{ready: make(chan struct{})}
-	e.fill(attemptOutcome{err: errors.New("e")}, ta, []graph.NodeID{1, 2, 3})
-	if !e.matches(ta, []graph.NodeID{1, 2, 3}) {
-		t.Fatal("identical subproblem did not match")
+	m := NewMemo(0)
+	ctx := context.Background()
+	startA, ws := memoSubproblem(t, 16)
+	startB, _ := memoSubproblem(t, 8) // different issue slots
+	key := attemptKey{DDG: "c", Engine: "see"}
+	solve := func(score float64) engineFunc {
+		return func() (*EngineResult, error) {
+			return &EngineResult{Flow: startA.Clone(), Score: score, Winner: "see"}, nil
+		}
 	}
-	if e.matches(tb, []graph.NodeID{1, 2, 3}) {
-		t.Fatal("different topology matched")
+	if res, _, err := m.attempt(ctx, key, solve(1), startA, ws, see.Config{}); err != nil || res.Score != 1 {
+		t.Fatalf("leader: %v, %v", res, err)
 	}
-	if e.matches(ta, []graph.NodeID{1, 2}) || e.matches(ta, []graph.NodeID{1, 2, 4}) {
-		t.Fatal("different working set matched")
+	for _, c := range []struct {
+		name  string
+		start *pg.Flow
+		ws    []graph.NodeID
+	}{
+		{"different topology", startB, ws},
+		{"shorter working set", startA, []graph.NodeID{1, 2}},
+		{"different working set", startA, []graph.NodeID{1, 2, 4}},
+	} {
+		res, entry, err := m.attempt(ctx, key, solve(2), c.start, c.ws, see.Config{})
+		if err != nil || res.Score != 2 || entry != nil {
+			t.Errorf("%s matched the cached attempt: result %+v, entry %v, err %v", c.name, res, entry, err)
+		}
+	}
+	res, entry, err := m.attempt(ctx, key, solve(3), startA, ws, see.Config{})
+	if err != nil || res.Score != 1 || entry == nil {
+		t.Fatalf("identical subproblem did not hit: result %+v, entry %v, err %v", res, entry, err)
+	}
+	if st := m.Stats(); st.Hits != 1 || st.Misses != 4 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 hit, 4 misses, 1 entry", st)
 	}
 }
 

@@ -142,8 +142,13 @@ func (a VariantResult) Better(b VariantResult) bool {
 // HCAWithFeedback is the canonical context-first entry point: ctx aborts
 // both the per-variant HCA descents and the remaining variants of the
 // race; a trace.Recorder in ctx gets one span per variant plus a
-// "feedback.select" span recording which variant won and why.
+// "feedback.select" span recording which variant won and why. Invalid
+// base options fail before any variant runs, with core.Options.Validate's
+// typed error.
 func HCAWithFeedback(ctx context.Context, d *ddg.DDG, mc *machine.Config, base core.Options) (*ScheduledResult, error) {
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
 	var best *VariantResult
 	var firstErr error
 	ctx, fsp := trace.Start(ctx, "feedback")

@@ -9,6 +9,8 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/modsched"
+	"repro/internal/see"
+	"repro/internal/trace"
 )
 
 func TestHCAWithFeedback(t *testing.T) {
@@ -100,6 +102,22 @@ func TestFeedbackContextCancelled(t *testing.T) {
 	for _, v := range RunVariants(ctx, kernels.All()[0].Build(), mc, core.Options{}) {
 		if !errors.Is(v.Err, context.Canceled) {
 			t.Errorf("variant %q: err %v, want context.Canceled", v.Name, v.Err)
+		}
+	}
+}
+
+// Invalid options fail at entry with the typed option error itself,
+// not wrapped in "every variant failed", and before any variant runs.
+func TestFeedbackValidatesBeforeVariants(t *testing.T) {
+	rec := trace.New()
+	ctx := trace.With(context.Background(), rec)
+	_, err := HCAWithFeedback(ctx, kernels.Fir2Dim(), machine.DSPFabric64(8, 8, 8), core.Options{ExactBudget: -1})
+	if oe, ok := err.(*see.OptionError); !ok || oe.Field != "exact_budget" {
+		t.Fatalf("err = %v (%T), want the exact_budget *see.OptionError itself", err, err)
+	}
+	for _, p := range rec.Summary().Phases {
+		if p.Name == "variant" {
+			t.Fatalf("%d variant spans recorded for an invalid option", p.Count)
 		}
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ddg"
 	"repro/internal/kernels"
 	"repro/internal/par"
 	"repro/internal/see"
@@ -222,42 +224,81 @@ func TestSweepDeterministicAcrossWidths(t *testing.T) {
 // TestSweepSharedMemoMatchesPerPoint: sharing the memo across points is
 // a pure performance play — every solved point must equal a standalone
 // core.HCA compile of the same machine and engine, which runs on a memo
-// of its own.
+// of its own. That holds for failed points too: h264deblocking fails on
+// both n=40 and n=64 in a subproblem whose failed attempts the two
+// points share, and each point's error must still name its own machine.
 func TestSweepSharedMemoMatchesPerPoint(t *testing.T) {
 	ctx := context.Background()
-	d := kernels.Fir2Dim()
-	g := Grid{N: []int{8, 6}, M: []int{8, 6}, K: []int{8, 4}, Engines: []string{"see", "exact"}}
 	const budget = 512
-	res, err := Sweep(ctx, d, g, Options{ExactBudget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range res.Points {
-		if p.Canonical != p.Index {
-			continue
-		}
-		alone, err := core.HCA(ctx, d, pts[i].Machine, core.Options{Engine: pts[i].Engine, ExactBudget: budget})
+	for _, tc := range []struct {
+		d *ddg.DDG
+		g Grid
+	}{
+		{kernels.Fir2Dim(), Grid{N: []int{8, 6}, M: []int{8, 6}, K: []int{8, 4}, Engines: []string{"see", "exact"}}},
+		{kernels.H264Deblock(), Grid{N: []int{40, 64}}},
+	} {
+		res, err := Sweep(ctx, tc.d, tc.g, Options{ExactBudget: budget})
 		if err != nil {
-			if p.Error != err.Error() {
-				t.Errorf("point %d (%s, %s): sweep error %q, standalone %v", i, p.Engine, p.Machine, p.Error, err)
-			}
-			continue
+			t.Fatal(err)
 		}
-		want := p
-		want.MIIRec, want.MIIRes = alone.MII.Rec, alone.MII.Res
-		want.MIIFinal, want.MIIAllLevels = alone.MII.Final, alone.MII.AllLevels
-		want.Receives, want.Legal = alone.Recvs, alone.Legal
-		want.Winner, want.Error = topWinner(alone.EngineWins), ""
-		if p != want {
-			t.Errorf("point %d (%s, %s): sweep %+v, standalone %+v", i, p.Engine, p.Machine, p, want)
+		pts, err := tc.g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range res.Points {
+			if p.Canonical != p.Index {
+				continue
+			}
+			alone, err := core.HCA(ctx, tc.d, pts[i].Machine, core.Options{Engine: pts[i].Engine, ExactBudget: budget})
+			if err != nil {
+				if p.Error != err.Error() {
+					t.Errorf("%s point %d (%s, %s): sweep error %q, standalone %v", tc.d.Name, i, p.Engine, p.Machine, p.Error, err)
+				}
+				continue
+			}
+			want := p
+			want.MIIRec, want.MIIRes = alone.MII.Rec, alone.MII.Res
+			want.MIIFinal, want.MIIAllLevels = alone.MII.Final, alone.MII.AllLevels
+			want.Receives, want.Legal = alone.Recvs, alone.Legal
+			want.Winner, want.Error = topWinner(alone.EngineWins), ""
+			if p != want {
+				t.Errorf("%s point %d (%s, %s): sweep %+v, standalone %+v", tc.d.Name, i, p.Engine, p.Machine, p, want)
+			}
+		}
+		if res.Stats.Memo.Hits == 0 {
+			t.Fatalf("%s: shared memo recorded no cross-point hits", tc.d.Name)
 		}
 	}
-	if res.Stats.Memo.Hits == 0 {
-		t.Fatal("shared memo recorded no cross-point hits")
+}
+
+// TestSweepFailedPointsDeterministic: a sweep whose points fail in
+// shared subproblems renders the same CanonicalJSON on every run and at
+// any GOMAXPROCS, whichever point's attempt the memo cached first.
+func TestSweepFailedPointsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	d := kernels.H264Deblock()
+	g := Grid{N: []int{40, 64}}
+	var want []byte
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 5; run++ {
+			res, err := Sweep(context.Background(), d, g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Failed != 2 {
+				t.Fatalf("%d of 2 points failed; the case no longer exercises shared failures", res.Stats.Failed)
+			}
+			got, err := res.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d run %d diverged:\n%s\nwant:\n%s", procs, run, got, want)
+			}
+		}
 	}
 }
 

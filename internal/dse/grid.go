@@ -4,11 +4,13 @@
 //
 // The throughput argument is the one HeLEx-style layout exploration and
 // symbolic loop compilation both make: neighboring configurations share
-// most of their subproblem work. Our memo keys (core.AttemptKey) are
+// most of their subproblem work. The core memo's attempt keys are
 // content-addressed by the subproblem's topology fingerprint, not by
 // the machine's name, so two grid points whose level-0 capacities agree
 // replay each other's level-0 attempts verbatim — the most expensive
-// subproblem of each solve. Two reuse layers stack:
+// subproblem of each solve. Nothing an attempt caches names a machine
+// (a failed point's error names its own), so a replay reads the same
+// whichever point filled the entry. Two reuse layers stack:
 //
 //  1. Point dedup: grid points whose fabrics are structurally identical
 //     (same per-level topology structure — e.g. an RCP ring whose

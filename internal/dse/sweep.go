@@ -26,7 +26,7 @@ type Options struct {
 	// sweep; nil creates a fresh unbounded one. The compilation service
 	// injects its process-wide instance, so sweeps additionally share
 	// with — and warm — ordinary compile traffic.
-	Memo core.SubproblemMemo
+	Memo *core.Memo
 	// MaxPoints rejects grids expanding beyond it with a typed error
 	// (0 = unbounded; the service sets its endpoint bound here).
 	MaxPoints int

@@ -214,9 +214,9 @@ func Solve(ctx context.Context, start *pg.Flow, ws []graph.NodeID, cfg Config) (
 	}
 	if s.bestFlow == nil && cfg.Incumbent == nil {
 		if res.Proved {
-			return nil, fmt.Errorf("exact: no feasible assignment for %d instructions on %q", len(order), start.T.Name)
+			return nil, fmt.Errorf("exact: no feasible assignment for %d instructions", len(order))
 		}
-		return nil, fmt.Errorf("exact: budget exhausted after %d expansions with no complete assignment on %q", s.expansions, start.T.Name)
+		return nil, fmt.Errorf("exact: budget exhausted after %d expansions with no complete assignment", s.expansions)
 	}
 	// Without a flow of its own the search beat nothing of the caller's:
 	// Score stays the incumbent, proved optimal when the tree was

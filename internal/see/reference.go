@@ -37,8 +37,8 @@ func SolveReference(ctx context.Context, start *pg.Flow, ws []graph.NodeID, cfg 
 			next = append(next, cands...)
 		}
 		if len(next) == 0 {
-			return nil, fmt.Errorf("see: no candidates for instruction %d (%s %s) on %q",
-				n, start.D.Node(n).Op, start.D.Node(n).Name, start.T.Name)
+			return nil, fmt.Errorf("see: no candidates for instruction %d (%s %s)",
+				n, start.D.Node(n).Op, start.D.Node(n).Name)
 		}
 		// Node filter: prune the frontier (Figure 5).
 		sortScored(next)

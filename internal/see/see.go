@@ -256,8 +256,8 @@ func Solve(ctx context.Context, start *pg.Flow, ws []graph.NodeID, cfg Config) (
 			return nil, err
 		}
 		if len(next) == 0 {
-			return nil, fmt.Errorf("see: no candidates for instruction %d (%s %s) on %q",
-				n, start.D.Node(n).Op, start.D.Node(n).Name, start.T.Name)
+			return nil, fmt.Errorf("see: no candidates for instruction %d (%s %s)",
+				n, start.D.Node(n).Op, start.D.Node(n).Name)
 		}
 		frontier = next
 		stats.NodesAssigned++

@@ -153,8 +153,8 @@ type Snapshot struct {
 	MemoEntries   int     `json:"memo_entries"`
 	MemoEvictions int64   `json:"memo_evictions"`
 	MemoHitRatio  float64 `json:"memo_hit_ratio"`
-	// MemoByEngine splits the memo traffic by the engine discriminator of
-	// the attempt key; engines with no traffic are omitted.
+	// MemoByEngine splits the memo traffic by the engine named in the
+	// attempt key; engines with no traffic are omitted.
 	MemoByEngine map[string]core.EngineMemoStats `json:"memo_by_engine,omitempty"`
 }
 

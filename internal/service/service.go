@@ -137,7 +137,7 @@ type Service struct {
 	workers sync.WaitGroup
 	jobsWG  sync.WaitGroup // submitted-but-not-terminal jobs
 	cache   *lruCache
-	memo    core.SubproblemMemo
+	memo    *core.Memo
 	metrics *Metrics
 	store   *store.ResultStore
 	journal *store.JobStore
